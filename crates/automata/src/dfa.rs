@@ -1,9 +1,24 @@
 //! Deterministic finite automata with dense, byte-class–indexed transition
-//! tables, and the sequential matcher (Algorithm 2 of the paper).
+//! tables, and the sequential matcher (Algorithm 2 of the paper) in its
+//! single-input and lockstep multi-input ([`Dfa::run_many`]) forms.
 
 use crate::byteclass::ByteClasses;
 use crate::nfa::StateId;
 use crate::pattern::PatternSet;
+
+/// Number of haystacks [`Dfa::run_many`] walks in lockstep.
+///
+/// One scan is a chain of dependent table loads; eight independent
+/// chains keep eight loads in flight, which covers L1/L2 latency while
+/// the lane states still fit in registers.
+pub const DFA_LANES: usize = 8;
+
+/// Bytes the lockstep walk advances between lane bookkeeping rounds:
+/// retiring lanes whose haystack ended or whose state became a
+/// [sink](Dfa::is_sink), and refilling them. Per-byte checks would put a
+/// branch in the hot loop; a sink self-loops, so walking it for the rest
+/// of a block is harmless.
+const LANE_BLOCK_BYTES: usize = 128;
 
 /// A complete deterministic finite automaton.
 ///
@@ -17,6 +32,9 @@ pub struct Dfa {
     stride: usize,
     table: Vec<StateId>,
     accepting: Vec<bool>,
+    /// `sink[q]` is true when every class loops `q` back to itself: no
+    /// suffix can move the automaton, so a scan may stop there.
+    sink: Vec<bool>,
     start: StateId,
     /// Number of original patterns compiled into this automaton (see
     /// [`crate::pattern`]); 1 for single-pattern constructions.
@@ -76,7 +94,18 @@ impl Dfa {
             "accept index out of range"
         );
         let accepting = accept_index.iter().map(|&i| !accept_sets[i as usize].is_empty()).collect();
-        Dfa { classes, stride, table, accepting, start, pattern_count, accept_index, accept_sets }
+        let sink = sinks(&table, stride);
+        Dfa {
+            classes,
+            stride,
+            table,
+            accepting,
+            sink,
+            start,
+            pattern_count,
+            accept_index,
+            accept_sets,
+        }
     }
 
     /// Checks every structural invariant of the automaton and reports the
@@ -150,6 +179,9 @@ impl Dfa {
                 return Err(format!("accepting bitmap disagrees with accept set of state {q}"));
             }
         }
+        if self.sink != sinks(&self.table, self.stride) {
+            return Err("sink bitmap disagrees with the transition table".to_string());
+        }
         Ok(())
     }
 
@@ -191,6 +223,15 @@ impl Dfa {
     #[inline]
     pub fn is_accepting(&self, state: StateId) -> bool {
         self.accepting[state as usize]
+    }
+
+    /// Returns true if `state` loops back to itself on every byte: once
+    /// a scan reaches it, no suffix can change the final state. The
+    /// failure sink is one; so is every state of a `Contains`-mode
+    /// automaton's absorbing accept region.
+    #[inline]
+    pub fn is_sink(&self, state: StateId) -> bool {
+        self.sink[state as usize]
     }
 
     /// The accepting-state bitmap.
@@ -270,6 +311,74 @@ impl Dfa {
             q = self.next_state(q, b);
         }
         q
+    }
+
+    /// **Algorithm 2 over many haystacks**: the final state of each input
+    /// run from the start state, in input order — equal to
+    /// [`run`](Dfa::run) per input.
+    ///
+    /// Every input starts at the known state `q0`, so by Lemma 1 the SFA
+    /// (whose point is an *unknown* start state) has nothing to add
+    /// here: the DFA run is the verdict. What a per-input loop leaves on
+    /// the table is memory-level parallelism — each byte is one table load
+    /// that depends on the previous one. This kernel walks [`DFA_LANES`]
+    /// inputs in lockstep, so that many independent load chains are in
+    /// flight at once. Every 128 bytes a lane whose input ended or whose
+    /// state is a [sink](Dfa::is_sink) retires (its final state is already
+    /// known) and the next waiting input takes its place. Once no input is
+    /// left to refill a lane, the idle lanes shadow a live one, so the walk
+    /// stays branch-free to the end.
+    pub fn run_many(&self, inputs: &[&[u8]]) -> Vec<StateId> {
+        let mut out = vec![self.start; inputs.len()];
+        let mut waiting = inputs.iter().enumerate();
+        // Per lane: the input it walks (None = idle), its state, and the
+        // part of its input not yet walked.
+        let mut owner: [Option<usize>; DFA_LANES] = [None; DFA_LANES];
+        let mut q = [self.start; DFA_LANES];
+        let mut rest: [&[u8]; DFA_LANES] = [&[]; DFA_LANES];
+        loop {
+            for lane in 0..DFA_LANES {
+                while owner[lane].is_none() || rest[lane].is_empty() || self.is_sink(q[lane]) {
+                    if let Some(i) = owner[lane].take() {
+                        out[i] = q[lane];
+                    }
+                    let Some((i, input)) = waiting.next() else { break };
+                    owner[lane] = Some(i);
+                    q[lane] = self.start;
+                    rest[lane] = input;
+                }
+            }
+            let Some(lead) = owner.iter().position(Option::is_some) else {
+                return out;
+            };
+            for lane in 0..DFA_LANES {
+                if owner[lane].is_none() {
+                    q[lane] = q[lead];
+                    rest[lane] = rest[lead];
+                }
+            }
+            let n = rest.iter().map(|r| r.len()).min().unwrap_or(0).min(LANE_BLOCK_BYTES);
+            self.walk_lanes(&mut q, &rest, n);
+            for r in rest.iter_mut() {
+                *r = &r[n..];
+            }
+        }
+    }
+
+    /// The lockstep hot loop of [`run_many`](Dfa::run_many): advances
+    /// every lane by the first `n` bytes of its input (each lane has at
+    /// least `n` left).
+    #[inline]
+    fn walk_lanes(&self, q: &mut [StateId; DFA_LANES], rest: &[&[u8]; DFA_LANES], n: usize) {
+        let lanes: [&[u8]; DFA_LANES] = std::array::from_fn(|lane| &rest[lane][..n]);
+        let (table, stride, classes) = (&self.table[..], self.stride, &self.classes);
+        let mut s = *q;
+        for k in 0..n {
+            for (q, lane) in s.iter_mut().zip(&lanes) {
+                *q = table[*q as usize * stride + classes.class_of(lane[k]) as usize];
+            }
+        }
+        *q = s;
     }
 
     /// Whole-input membership test (Algorithm 2 plus the acceptance check).
@@ -423,6 +532,16 @@ impl Dfa {
     }
 }
 
+/// The sink bitmap of a transition table: the states every class maps
+/// back to themselves.
+fn sinks(table: &[StateId], stride: usize) -> Vec<bool> {
+    table
+        .chunks_exact(stride)
+        .enumerate()
+        .map(|(q, row)| row.iter().all(|&t| t as usize == q))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,6 +604,29 @@ mod tests {
         assert_eq!(d.run_from(1, b"b"), 0);
         assert_eq!(d.run_from(1, b"a"), 2);
         assert_eq!(d.run_from(2, b"ababab"), 2, "dead state absorbs");
+    }
+
+    #[test]
+    fn run_many_matches_run_and_marks_sinks() {
+        let d = paper_d1();
+        assert_eq!(d.run_many(&[]), Vec::<StateId>::new());
+        assert_eq!((0..3).map(|q| d.is_sink(q)).collect::<Vec<_>>(), vec![false, false, true]);
+        // Ragged lengths across block boundaries, empty inputs, and more
+        // inputs than lanes so retired lanes get refilled.
+        let long_ok = b"ab".repeat(100);
+        let mut long_dead = b"ab".repeat(40);
+        long_dead.extend_from_slice(b"bb");
+        long_dead.extend(b"ab".repeat(60));
+        let inputs: Vec<&[u8]> = (0..2 * DFA_LANES + 1)
+            .map(|i| match i % 4 {
+                0 => &long_ok[..2 * i],
+                1 => &long_dead[..],
+                2 => &b""[..],
+                _ => &long_ok[..],
+            })
+            .collect();
+        let expected: Vec<StateId> = inputs.iter().map(|h| d.run(h)).collect();
+        assert_eq!(d.run_many(&inputs), expected);
     }
 
     #[test]

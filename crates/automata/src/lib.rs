@@ -44,7 +44,7 @@ pub mod stateset;
 
 pub use byteclass::ByteClasses;
 pub use determinize::{determinize, dfa_from_pattern, DfaConfig};
-pub use dfa::Dfa;
+pub use dfa::{Dfa, DFA_LANES};
 pub use error::CompileError;
 pub use minimize::{minimal_dfa_from_pattern, minimize};
 pub use nfa::{Nfa, NfaState, StateId};
@@ -106,6 +106,8 @@ mod proptests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sfa_regex_syntax::ast::Ast;
+    use sfa_regex_syntax::class::perl;
     use sfa_regex_syntax::generator::{sample_match, AstGenerator, GeneratorConfig};
     use sfa_regex_syntax::ByteSet;
 
@@ -190,6 +192,31 @@ mod proptests {
             prop_assert_eq!(identity.validate(), Ok(()));
             for input in &inputs {
                 prop_assert_eq!(compressed.accepts(input.as_bytes()), identity.accepts(input.as_bytes()));
+            }
+        }
+
+        /// The lockstep batch kernel returns exactly the per-input
+        /// Algorithm 2 end states, for every batch size from empty to
+        /// past two full lane groups, with ragged and empty inputs, on
+        /// both the raw pattern and its `Contains` form (whose accept
+        /// region is a sink the kernel retires lanes on).
+        #[test]
+        fn run_many_equals_run_per_input(
+            seed in any::<u64>(),
+            inputs in prop::collection::vec("[a-e]{0,150}", 0..2 * DFA_LANES + 2),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ast = small_generator().generate(&mut rng);
+            let any = || Ast::star(Ast::Class(perl::any()));
+            let contains = Ast::concat(vec![any(), ast.clone(), any()]);
+            for ast in [ast, contains] {
+                let dfa = match Nfa::from_ast(&ast).and_then(|n| determinize(&n, &DfaConfig::default())) {
+                    Ok(d) => minimize(&d),
+                    Err(_) => continue,
+                };
+                let inputs: Vec<&[u8]> = inputs.iter().map(|s| s.as_bytes()).collect();
+                let expected: Vec<StateId> = inputs.iter().map(|h| dfa.run(h)).collect();
+                prop_assert_eq!(dfa.run_many(&inputs), expected);
             }
         }
     }

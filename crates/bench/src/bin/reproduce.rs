@@ -615,7 +615,9 @@ fn multimatch() {
 /// to the `u32` interface width, on the same pinned corpus, plus an
 /// 8-worker parallel scan of the larger automaton and the SIMD kernel
 /// ratios (`shuffle_over_scalar` on a ≤16-state rule, `gather_over_scalar`
-/// for the 8-lane interleaved scan of the 128-state window automaton).
+/// for the 8-lane interleaved scan of the 128-state window automaton), and
+/// `batch_lanes_over_single`: the 8-lane lockstep DFA batch walk against
+/// one haystack at a time, on the IDS namespace over service traffic.
 /// Writes `BENCH_throughput.json` (or `SFA_BENCH_OUT`) and, when
 /// `SFA_BENCH_BASELINE` names a committed baseline, gates against it the
 /// same way the multimatch target does.
@@ -776,6 +778,49 @@ fn throughput() {
         t_gather_scalar.mb_per_sec(),
     );
 
+    // ---- batch lanes: lockstep DFA walk vs. one haystack at a time ------
+    // The server's hot path: the 3-rule IDS namespace (the IDS rules
+    // minus the SQL-injection rule, whose D-SFA only fits the lazy
+    // backend) over the service traffic's 16-haystack requests. Every
+    // haystack starts at the DFA start state, so the batch kernel walks
+    // the DFA, 8 haystacks in lockstep (`Dfa::run_many`); the baseline is
+    // `Dfa::run` per haystack on the same automaton.
+    let ids_rules =
+        workloads::IDS_SCAN_RULES.iter().copied().filter(|&r| r != workloads::SQLI_RULE);
+    let ids = sfa_matcher::RegexSet::new(
+        ids_rules,
+        &Regex::builder().mode(sfa_matcher::MatchMode::Contains),
+    )
+    .unwrap();
+    let ids_dfa = ids.regex().dfa();
+    let traffic = workloads::ServiceConfig { requests: 64, batch: 16, ..Default::default() };
+    let requests = workloads::service_requests(&traffic);
+    let batch_bytes = workloads::service_bytes(&requests);
+    let batches: Vec<Vec<&[u8]>> =
+        requests.iter().map(|r| r.iter().map(Vec::as_slice).collect()).collect();
+    let batch_expected: Vec<Vec<u32>> =
+        batches.iter().map(|b| b.iter().map(|h| ids_dfa.run(h)).collect()).collect();
+    let t_lanes = measure(batch_bytes, runs, || {
+        for (batch, want) in batches.iter().zip(&batch_expected) {
+            assert_eq!(&ids_dfa.run_many(batch), want);
+        }
+    });
+    let t_single = measure(batch_bytes, runs, || {
+        for (batch, want) in batches.iter().zip(&batch_expected) {
+            assert!(batch.iter().zip(want).all(|(h, &q)| ids_dfa.run(h) == q));
+        }
+    });
+    let batch_lanes_over_single = t_lanes.mb_per_sec() / t_single.mb_per_sec();
+    println!(
+        "batch lanes x{} (IDS namespace, {} DFA states, {} haystacks): {:.0} MB/s vs. {:.0} MB/s \
+         one haystack at a time  ({batch_lanes_over_single:.2}x)",
+        sfa_automata::DFA_LANES,
+        ids_dfa.num_states(),
+        batches.iter().map(Vec::len).sum::<usize>(),
+        t_lanes.mb_per_sec(),
+        t_single.mb_per_sec(),
+    );
+
     // ---- machine-readable summary + regression gate --------------------
     let (u8s, u16s) = (&stats[0], &stats[1]);
     let json = format!(
@@ -789,6 +834,7 @@ fn throughput() {
             "\"simd\":{},\"cpu_features\":\"{}\",",
             "\"shuffle_kernel\":\"{}\",\"shuffle_over_scalar\":{:.3},",
             "\"gather_kernel\":\"{}\",\"gather_over_scalar\":{:.3},",
+            "\"batch_bytes\":{},\"batch_lanes_over_single\":{:.3},",
             "\"cores\":{},\"scale\":{}}}"
         ),
         LEN,
@@ -810,6 +856,8 @@ fn throughput() {
         shuffle_over_scalar,
         gather_kernel,
         gather_over_scalar,
+        batch_bytes,
+        batch_lanes_over_single,
         num_cpus(),
         scale(),
     );
@@ -1277,9 +1325,11 @@ fn check_convergence_baseline(current: &str, baseline: &str, baseline_path: &str
 
 /// The throughput counterpart of [`check_multimatch_baseline`]: automaton
 /// sizes and corpus fingerprints must match the committed baseline exactly
-/// (construction is deterministic), while the packed-over-u32 ratios only
-/// need to stay within a generous noise margin — but never below the hard
-/// floors, which assert that packing the tables does not *cost* throughput.
+/// (construction is deterministic), while the packed-over-u32 and
+/// batch-lanes ratios only need to stay within a generous noise margin —
+/// but never below the hard floors, which assert that packing the tables
+/// does not *cost* throughput and that the lockstep batch walk clearly
+/// beats one haystack at a time.
 fn check_throughput_baseline(current: &str, baseline: &str, baseline_path: &str) {
     fn field<'a>(json: &'a str, key: &str) -> &'a str {
         let needle = format!("\"{key}\":");
@@ -1289,14 +1339,23 @@ fn check_throughput_baseline(current: &str, baseline: &str, baseline_path: &str)
         rest[..rest.find([',', '}']).unwrap()].trim()
     }
     let mut failed = false;
-    for key in ["input_bytes", "u8_states", "u8_fingerprint", "u16_states", "u16_fingerprint"] {
+    for key in [
+        "input_bytes",
+        "u8_states",
+        "u8_fingerprint",
+        "u16_states",
+        "u16_fingerprint",
+        "batch_bytes",
+    ] {
         let (now, was) = (field(current, key), field(baseline, key));
         if now != was {
             eprintln!("REGRESSION: {key} = {now}, baseline {was} ({baseline_path})");
             failed = true;
         }
     }
-    for (key, floor) in [("u8_over_u32", 0.8), ("u16_over_u32", 0.8)] {
+    for (key, floor) in
+        [("u8_over_u32", 0.8), ("u16_over_u32", 0.8), ("batch_lanes_over_single", 1.5)]
+    {
         let now: f64 = field(current, key).parse().unwrap();
         let was: f64 = field(baseline, key).parse().unwrap();
         // Timing is noisy across machines: accept anything at or above

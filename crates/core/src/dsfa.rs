@@ -656,9 +656,9 @@ impl DSfa {
     ///
     /// A single scan is one long dependent-load chain — every lookup
     /// waits for the previous one. Four independent chains keep four
-    /// loads in flight, so a worker handed several haystacks (the sharded
-    /// batch path) approaches the cache's bandwidth instead of its
-    /// latency. Groups of four run over their common prefix length with
+    /// loads in flight, so a worker handed several sub-chunks (the
+    /// interleaved lanes of a parallel scan) approaches the cache's
+    /// bandwidth instead of its latency. Groups of four run over their common prefix length with
     /// no per-byte sink branch (a sink self-loops harmlessly); each tail
     /// then finishes through [`run_from`](DSfa::run_from), which keeps
     /// the sink early-exit. Results are returned in job order, and equal

@@ -117,9 +117,9 @@ where
 /// into per-worker jobs big enough to amortize a pool hand-off. The two
 /// compose with lane interleaving from opposite directions — a packed
 /// group of small haystacks is *already* a ready-made batch for the
-/// interleaved `run_from_many` scan (each item is its own lane), while a
-/// worker holding one oversized item re-applies [`split_chunks`] to make
-/// lanes out of it (see
+/// lockstep [`Dfa::run_many`](sfa_automata::Dfa::run_many) walk (each
+/// item is its own lane), while a worker holding one oversized item
+/// re-applies [`split_chunks`] to make lanes out of it (see
 /// [`Engine::plan_chunks_interleaved`](crate::pool::Engine::plan_chunks_interleaved)).
 pub fn pack_by_bytes(sizes: &[usize], max_bytes: usize) -> Vec<std::ops::Range<usize>> {
     pack_by_bytes_lanes(sizes, max_bytes, 1)
@@ -127,19 +127,18 @@ pub fn pack_by_bytes(sizes: &[usize], max_bytes: usize) -> Vec<std::ops::Range<u
 
 /// [`pack_by_bytes`] with a lane-count constraint: a group is only closed
 /// at a multiple of `lanes` items, so every group except possibly the
-/// last carries full lane complements. Backends that interleave `lanes`
-/// independent inputs per scan (the SIMD gather kernels walk
-/// [`INTERLEAVE_LANES`] haystacks in lockstep) only engage the wide
-/// kernel on full lane groups — byte-balanced groups that strand one or
-/// two items at the tail of *every* group keep such batches on the scalar
-/// remainder path. The byte bound becomes soft by up to `lanes − 1`
-/// items: a group may overshoot `max_bytes` while filling out its lane
-/// complement.
+/// last carries full lane complements. Kernels that walk `lanes`
+/// independent inputs in lockstep (the batch DFA walk keeps
+/// [`DFA_LANES`] haystacks in flight) only run at full width on full lane
+/// groups — byte-balanced groups that strand one or two items at the tail
+/// of *every* group leave most lanes idle there. The byte bound becomes
+/// soft by up to `lanes − 1` items: a group may overshoot `max_bytes`
+/// while filling out its lane complement.
 ///
 /// `lanes = 1` (or 0) is exactly [`pack_by_bytes`]; the ranges always
 /// partition `0..sizes.len()` in order.
 ///
-/// [`INTERLEAVE_LANES`]: sfa_core::dsfa::INTERLEAVE_LANES
+/// [`DFA_LANES`]: sfa_automata::DFA_LANES
 pub fn pack_by_bytes_lanes(
     sizes: &[usize],
     max_bytes: usize,

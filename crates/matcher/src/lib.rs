@@ -67,6 +67,23 @@
 //! the pool's worker count); it never spawns threads. Inputs too small to
 //! amortize the pool hand-off run inline on the calling thread.
 //!
+//! ## Batch matching
+//!
+//! The batch APIs ([`Regex::is_match_batch`], [`Regex::matches_batch`],
+//! [`RegexSet::match_batch`], [`RegexSet::matches_batch`]) answer many
+//! small haystacks at once. Each haystack starts at the DFA start state
+//! `q0`, and by Lemma 1 `f_w(q0) = δ(q0, w)`: the SFA exists for chunks
+//! whose start state is *unknown* (Algorithm 5), so a batch has no use
+//! for it. Batches therefore run Algorithm 2 on the DFA through one
+//! kernel, [`Dfa::run_many`](sfa_automata::Dfa::run_many), which walks
+//! [`DFA_LANES`](sfa_automata::DFA_LANES) haystacks in lockstep so their
+//! table loads overlap, and retires a lane as soon as its haystack ends
+//! or its state is a sink. The haystacks of a batch — and, on a sharded
+//! set, the (shard, haystack) pairs of every active shard — are packed
+//! into lane groups and spread over the pool in one hand-off. Eager, lazy
+//! and artifact-loaded automata take the same path, and batch traffic
+//! never grows a lazy backend's state cache.
+//!
 //! ## The `0 ⇒ 1` parallelism clamp
 //!
 //! One rule applies crate-wide, everywhere a degree of parallelism is

@@ -829,18 +829,24 @@ impl Regex {
     /// This is the request-serving dual of chunk parallelism: instead of
     /// splitting one large input across workers, it spreads many (typically
     /// small) inputs across workers, paying one pool hand-off for the whole
-    /// batch instead of one dispatch decision per call. Each small haystack
-    /// is scanned sequentially (Algorithm 2) inside its worker — for the
-    /// per-request inputs this API exists for, that is the fastest path. A
-    /// haystack large enough that a plain [`is_match`](Regex::is_match)
-    /// would cut it into pool chunks is matched that way instead, so a
-    /// size-skewed batch never serializes its biggest element on one
-    /// worker.
+    /// batch instead of one dispatch decision per call.
+    ///
+    /// Each small haystack starts at the DFA start state, so no chunk ever
+    /// has an unknown start state and, by Lemma 1, the SFA has nothing to
+    /// add: the batch runs Algorithm 2 on the DFA. It does so in lockstep
+    /// groups of [`DFA_LANES`] haystacks ([`Dfa::run_many`]), so that many
+    /// independent table-load chains overlap instead of one haystack
+    /// waiting on each load in turn. A haystack large enough that a plain
+    /// [`is_match`](Regex::is_match) would cut it into pool chunks is
+    /// matched that way instead, so a size-skewed batch never serializes
+    /// its biggest element on one worker.
     ///
     /// The small haystacks are cut into at most
     /// [`threads`](RegexBuilder::threads) contiguous shards (capped at the
-    /// engine's worker count); batches whose total size is too small to
-    /// amortize the hand-off run inline.
+    /// engine's worker count), each scanned by one lockstep walk; batches
+    /// whose total size is too small to amortize the hand-off run inline.
+    ///
+    /// [`DFA_LANES`]: sfa_automata::DFA_LANES
     ///
     /// ```
     /// use sfa_matcher::Regex;
@@ -881,10 +887,15 @@ impl Regex {
     }
 
     /// The batch execution core: the final DFA state of every haystack,
-    /// computed with the adaptive plan described on
-    /// [`is_match_batch`](Regex::is_match_batch). Both batch verdict APIs
-    /// are views of this, exactly as the single-shot APIs are views of
-    /// [`run`](Regex::run).
+    /// computed with the plan described on
+    /// [`is_match_batch`](Regex::is_match_batch) — oversized haystacks
+    /// through their own chunk-parallel [`run`](Regex::run), the rest
+    /// through [`Dfa::run_many`] in lockstep groups of
+    /// [`DFA_LANES`](sfa_automata::DFA_LANES), inline or one walk per pool
+    /// shard. No backend kind or table size forks this path: the SFA
+    /// tables are never consulted, since every haystack starts at `q0`.
+    /// Both batch verdict APIs are views of this, exactly as the
+    /// single-shot APIs are views of [`run`](Regex::run).
     fn run_batch(&self, haystacks: &[&[u8]]) -> Vec<StateId> {
         let engine = self.engine();
         let shards = self.threads.clamp(1, engine.workers());
@@ -902,19 +913,18 @@ impl Regex {
                 small.push(i);
             }
         }
-        let total: usize = small.iter().map(|&i| haystacks[i].len()).sum();
-        if shards <= 1 || small.len() <= 1 || total / shards < MIN_POOL_CHUNK_BYTES {
-            for &i in &small {
-                out[i] = self.run_sequential(haystacks[i]);
-            }
-            return out;
-        }
-        let shard_len = small.len().div_ceil(shards);
-        let finals = engine
-            .map_chunks(small.chunks(shard_len).collect(), true, |_, shard| {
-                shard.iter().map(|&i| self.run_sequential(haystacks[i])).collect::<Vec<_>>()
-            })
-            .concat();
+        let inputs: Vec<&[u8]> = small.iter().map(|&i| haystacks[i]).collect();
+        let total: usize = inputs.iter().map(|h| h.len()).sum();
+        let finals = if shards <= 1 || inputs.len() <= 1 || total / shards < MIN_POOL_CHUNK_BYTES {
+            self.dfa.run_many(&inputs)
+        } else {
+            let shard_len = inputs.len().div_ceil(shards);
+            engine
+                .map_chunks(inputs.chunks(shard_len).collect(), true, |_, shard| {
+                    self.dfa.run_many(shard)
+                })
+                .concat()
+        };
         for (&i, q) in small.iter().zip(finals) {
             out[i] = q;
         }

@@ -31,14 +31,16 @@
 //! match modes — a `Contains` match contains a word of the raw pattern,
 //! which satisfies every required clause.
 
-use crate::chunk::pack_by_bytes_lanes;
+use crate::chunk::{pack_by_bytes, pack_by_bytes_lanes};
 use crate::error::Error;
 use crate::pool::MIN_POOL_CHUNK_BYTES;
 use crate::prefilter::Prefilter;
 use crate::regex::{set_label, union_nfa, Regex, RegexBuilder};
 use crate::strategy::Strategy;
-use sfa_automata::{determinize, CompileError, Dfa, DfaConfig, PatternId, PatternSet, StateId};
-use sfa_core::{SfaStateId, SizeReport, StateIdRepr};
+use sfa_automata::{
+    determinize, CompileError, Dfa, DfaConfig, PatternId, PatternSet, StateId, DFA_LANES,
+};
+use sfa_core::{SizeReport, StateIdRepr};
 use sfa_regex_syntax::literal::required_literal_clauses;
 use sfa_regex_syntax::Ast;
 use std::collections::HashMap;
@@ -355,18 +357,36 @@ impl ShardedSet {
     }
 
     /// One prefilter pass per haystack, flattened: bit `i * shards + sid`
-    /// says shard `sid` must run on haystack `i`. A single allocation for
-    /// the whole batch (plus reused scan scratch).
+    /// says shard `sid` must run on haystack `i`. The passes are spread
+    /// over the pool in byte-bounded groups of haystacks once the batch is
+    /// big enough to pay for the hand-off: they are a per-byte scan of
+    /// every haystack, like the shard runs that follow them.
     fn batch_actives(&self, haystacks: &[&[u8]]) -> Vec<bool> {
         let ns = self.shards.len();
-        let mut actives = vec![false; haystacks.len() * ns];
-        let mut marks = vec![false; self.tag_count()];
-        let mut active = Vec::with_capacity(ns);
-        for (i, h) in haystacks.iter().enumerate() {
-            self.active_shards_into(h, &mut marks, &mut active);
-            actives[i * ns..(i + 1) * ns].copy_from_slice(&active);
+        if ns == 0 {
+            return Vec::new();
         }
-        actives
+        let rows = |group: &[&[u8]]| {
+            let mut rows = vec![false; group.len() * ns];
+            let mut marks = vec![false; self.tag_count()];
+            let mut active = Vec::with_capacity(ns);
+            for (row, h) in rows.chunks_exact_mut(ns).zip(group) {
+                self.active_shards_into(h, &mut marks, &mut active);
+                row.copy_from_slice(&active);
+            }
+            rows
+        };
+        let total: usize = haystacks.iter().map(|h| h.len()).sum();
+        if self.prefilter.is_none() || total < MIN_POOL_CHUNK_BYTES {
+            return rows(haystacks);
+        }
+        let engine = self.shards[0].regex.engine();
+        let sizes: Vec<usize> = haystacks.iter().map(|h| h.len()).collect();
+        let groups: Vec<&[&[u8]]> = pack_by_bytes(&sizes, MIN_POOL_CHUNK_BYTES)
+            .into_iter()
+            .map(|r| &haystacks[r])
+            .collect();
+        engine.map_chunks(groups, engine.workers() > 1, |_, group| rows(group)).concat()
     }
 
     /// Any-match for a batch: each shard sees only the haystacks that are
@@ -394,25 +414,23 @@ impl ShardedSet {
     /// The whole cross product of active shards × haystacks is submitted
     /// as **one** scoped engine batch: every (shard, haystack-group) pair
     /// becomes a job, and all jobs from all shards drain through the pool
-    /// together. The per-shard sequential loop this replaces paid one
-    /// pool hand-off per shard and left workers idle whenever one shard's
-    /// sub-batch was smaller than the pool — with hundreds of shards the
-    /// hand-offs dominated. Groups are byte-bounded (consecutive active
-    /// haystacks up to [`MIN_POOL_CHUNK_BYTES`]-scaled job sizes, an
-    /// oversized haystack alone in its own job) and closed only on full
-    /// lane complements of the shard backend's
-    /// [`preferred_lanes`](sfa_core::SfaBackend::preferred_lanes), so job
-    /// granularity is balanced regardless of haystack skew *and* the
-    /// interleaved kernel runs wide on every group.
+    /// together, so hundreds of shards cost one hand-off, not one each.
+    /// Groups are byte-bounded (consecutive active haystacks up to
+    /// [`MIN_POOL_CHUNK_BYTES`], an oversized haystack alone in its own
+    /// job) and closed only on full complements of [`DFA_LANES`], so job
+    /// granularity is balanced regardless of haystack skew *and* every
+    /// group fills the lockstep kernel's lanes.
     ///
-    /// Inside a job the haystacks are scanned with
-    /// [`SfaBackend::run_from_many`], which walks [`INTERLEAVE_LANES`]
-    /// independent inputs in lockstep on eager backends — the
-    /// cache-latency-hiding path the packed tables were built for.
+    /// Inside a job the shard's **DFA** scans the group with
+    /// [`Dfa::run_many`], [`DFA_LANES`] haystacks in lockstep. Every
+    /// haystack starts at the DFA start state, so by Lemma 1 the SFA
+    /// (built for chunks whose start state is unknown) adds nothing here:
+    /// its end state's mapping applied to `q0` *is* the DFA run. Scanning
+    /// the DFA also keeps one code path for eager, lazy and borrowed
+    /// shards, and leaves a lazy shard's state cache untouched by batch
+    /// traffic.
     ///
     /// [`MIN_POOL_CHUNK_BYTES`]: crate::pool::MIN_POOL_CHUNK_BYTES
-    /// [`INTERLEAVE_LANES`]: sfa_core::dsfa::INTERLEAVE_LANES
-    /// [`SfaBackend::run_from_many`]: sfa_core::SfaBackend::run_from_many
     pub(crate) fn matches_batch(&self, haystacks: &[&[u8]]) -> Result<Vec<PatternSet>, Error> {
         self.check_tracking()?;
         let ns = self.shards.len();
@@ -435,27 +453,18 @@ impl ShardedSet {
             }
             let sizes: Vec<usize> = idxs.iter().map(|&i| haystacks[i].len()).collect();
             total += sizes.iter().sum::<usize>();
-            // Close groups only on full lane complements so the shard's
-            // interleaved kernel (the AVX2 gather path under `simd`) runs
-            // wide on every group instead of paying a scalar remainder
-            // per group (see [`pack_by_bytes_lanes`]).
-            let lanes = self.shards[sid].regex.sfa().preferred_lanes();
-            for range in pack_by_bytes_lanes(&sizes, MIN_POOL_CHUNK_BYTES, lanes) {
+            // Close groups only on full lane complements so the lockstep
+            // kernel runs all its lanes on every group instead of leaving
+            // some idle at the tail of each (see [`pack_by_bytes_lanes`]).
+            for range in pack_by_bytes_lanes(&sizes, MIN_POOL_CHUNK_BYTES, DFA_LANES) {
                 jobs.push((sid, idxs[range].to_vec()));
             }
         }
         let parallel = engine.workers() > 1 && total >= MIN_POOL_CHUNK_BYTES;
         let scanned: Vec<(usize, Vec<usize>, Vec<StateId>)> =
             engine.map_chunks(jobs, parallel, |_, (sid, idxs)| {
-                let backend = self.shards[sid].regex.sfa();
-                let init = backend.initial();
-                let scan: Vec<(SfaStateId, &[u8])> =
-                    idxs.iter().map(|&i| (init, haystacks[i])).collect();
-                let finals = backend
-                    .run_from_many(&scan)
-                    .into_iter()
-                    .map(|f| backend.apply(f, backend.dfa_start()))
-                    .collect();
+                let inputs: Vec<&[u8]> = idxs.iter().map(|&i| haystacks[i]).collect();
+                let finals = self.shards[sid].regex.dfa().run_many(&inputs);
                 (sid, idxs, finals)
             });
         for (sid, idxs, finals) in scanned {

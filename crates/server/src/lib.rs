@@ -14,9 +14,8 @@
 //!   [`RegisterSource`].
 //! * **Throughput** comes from batched admission: concurrent small
 //!   requests from different connections are flattened by the dispatcher
-//!   into one `matches_batch` scan per tenant per drain, riding the
-//!   lane-interleaved batch kernels instead of paying per-request
-//!   dispatch.
+//!   into one `matches_batch` scan per tenant per drain, sharing the
+//!   8-lane lockstep DFA walk instead of paying per-request dispatch.
 //! * **Overload** is explicit: the admission queue is bounded, and a full
 //!   queue answers `STATUS_RETRY` with a delay hint instead of silently
 //!   stacking latency. Nothing is dropped after admission — shutdown

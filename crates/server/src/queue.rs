@@ -3,7 +3,7 @@
 //! Connection threads submit match jobs here; one dispatcher thread
 //! drains *everything available* in one go, groups the jobs by tenant,
 //! and issues a single batched scan per tenant — concurrent small
-//! requests ride the interleaved batch kernels instead of paying one
+//! requests share the lockstep DFA batch walk instead of paying one
 //! pool hand-off each.
 //!
 //! The queue is bounded and **never blocks the submitter**: when full,

@@ -13,8 +13,8 @@
 //! * **Dispatcher** (one) — drains the queue in batches, groups jobs by
 //!   tenant, and issues **one** batched scan per tenant per drain:
 //!   simultaneous small requests from different connections flatten into
-//!   a single `matches_batch` call that rides the interleaved lane
-//!   kernels.
+//!   a single `matches_batch` call, whose haystacks share the 8-lane
+//!   lockstep DFA walk.
 //!
 //! Shutdown is graceful by construction: the queue closes (refusing new
 //! admissions with `STATUS_RETRY`-style refusals turned into errors),
