@@ -15,6 +15,7 @@ use sfa_bench::{measure, scale, thread_sweep};
 use sfa_core::{DSfa, GrowthClass, SfaConfig, SizeReport};
 use sfa_matcher::{ParallelSfaMatcher, Reduction, Regex, SpeculativeDfaMatcher, Strategy};
 use sfa_monoid::{fact2_dfa, pow_self, TransitionMonoid};
+use sfa_serialize::fnv1a;
 use sfa_workloads as workloads;
 use std::time::Instant;
 
@@ -1394,16 +1395,6 @@ fn check_throughput_baseline(current: &str, baseline: &str, baseline_path: &str)
         std::process::exit(1);
     }
     println!("baseline check passed against {baseline_path}");
-}
-
-/// FNV-1a, the corpus fingerprint also pinned by the workloads tests.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Fails the run (exit 1) when the current multimatch summary regresses

@@ -10,7 +10,10 @@
 //!   (Algorithm 4): every reachable transformation materialized and
 //!   premultiplied up front. Fastest per byte (a dense table lookup), but
 //!   construction is `O(|S_d|)` in time and memory and *fails* on the
-//!   explosion families of Section VII.
+//!   explosion families of Section VII. An automaton loaded from a
+//!   serialized artifact is eager too: [`DSfa::from_parts`] validates the
+//!   artifact's table sections and reads them in place, so it runs every
+//!   scan kernel a freshly built one does.
 //! * **Lazy** ([`LazyDSfa`]) — the on-the-fly construction (Section V-A):
 //!   states materialize only when an input actually reaches them, "at
 //!   most n states for input text of length n even if the number of
@@ -22,7 +25,6 @@
 //! not `Regex<B>`), and the branch predicts perfectly since a given
 //! matcher only ever holds one variant.
 
-use crate::borrowed::LoadedSfa;
 use crate::dsfa::{DSfa, SfaStateId, StateIdRepr};
 use crate::lazy::LazyDSfa;
 use crate::mapping::Transformation;
@@ -37,9 +39,6 @@ pub enum BackendKind {
     /// On-the-fly construction (Section V-A): states materialize as
     /// inputs visit them.
     Lazy,
-    /// Eager tables borrowed zero-copy from a serialized artifact (see
-    /// [`crate::borrowed::LoadedSfa`]).
-    Borrowed,
 }
 
 impl BackendKind {
@@ -48,7 +47,6 @@ impl BackendKind {
         match self {
             BackendKind::Eager => "Eager",
             BackendKind::Lazy => "Lazy",
-            BackendKind::Borrowed => "Borrowed",
         }
     }
 
@@ -57,7 +55,6 @@ impl BackendKind {
         Some(match s {
             "Eager" => BackendKind::Eager,
             "Lazy" => BackendKind::Lazy,
-            "Borrowed" => BackendKind::Borrowed,
             _ => return None,
         })
     }
@@ -73,13 +70,11 @@ impl std::fmt::Display for BackendKind {
 /// operations the matcher layer needs. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub enum SfaBackend {
-    /// The eager, fully materialized [`DSfa`].
+    /// The eager, fully materialized [`DSfa`] — built in memory or loaded
+    /// from an artifact.
     Eager(DSfa),
     /// The on-the-fly [`LazyDSfa`].
     Lazy(LazyDSfa),
-    /// An eager automaton whose tables are borrowed from a serialized
-    /// artifact buffer ([`LoadedSfa`]).
-    Borrowed(LoadedSfa),
 }
 
 impl From<DSfa> for SfaBackend {
@@ -94,19 +89,12 @@ impl From<LazyDSfa> for SfaBackend {
     }
 }
 
-impl From<LoadedSfa> for SfaBackend {
-    fn from(sfa: LoadedSfa) -> SfaBackend {
-        SfaBackend::Borrowed(sfa)
-    }
-}
-
 impl SfaBackend {
     /// Which representation this backend uses.
     pub fn kind(&self) -> BackendKind {
         match self {
             SfaBackend::Eager(_) => BackendKind::Eager,
             SfaBackend::Lazy(_) => BackendKind::Lazy,
-            SfaBackend::Borrowed(_) => BackendKind::Borrowed,
         }
     }
 
@@ -126,22 +114,12 @@ impl SfaBackend {
         }
     }
 
-    /// The borrowed automaton, when this backend was loaded zero-copy
-    /// from a serialized artifact.
-    pub fn borrowed(&self) -> Option<&LoadedSfa> {
-        match self {
-            SfaBackend::Borrowed(sfa) => Some(sfa),
-            _ => None,
-        }
-    }
-
     /// The initial state (always the identity mapping `f_I`).
     #[inline]
     pub fn initial(&self) -> SfaStateId {
         match self {
             SfaBackend::Eager(sfa) => sfa.initial(),
             SfaBackend::Lazy(sfa) => sfa.initial(),
-            SfaBackend::Borrowed(sfa) => sfa.initial(),
         }
     }
 
@@ -152,7 +130,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.next_state(state, byte),
             SfaBackend::Lazy(sfa) => sfa.next_state(state, byte),
-            SfaBackend::Borrowed(sfa) => sfa.next_state(state, byte),
         }
     }
 
@@ -162,7 +139,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.run(input),
             SfaBackend::Lazy(sfa) => sfa.run(input),
-            SfaBackend::Borrowed(sfa) => sfa.run(input),
         }
     }
 
@@ -172,7 +148,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.run_from(state, input),
             SfaBackend::Lazy(sfa) => sfa.run_from(state, input),
-            SfaBackend::Borrowed(sfa) => sfa.run_from(state, input),
         }
     }
 
@@ -190,7 +165,6 @@ impl SfaBackend {
             SfaBackend::Lazy(sfa) => {
                 jobs.iter().map(|&(s, input)| sfa.run_from(s, input)).collect()
             }
-            SfaBackend::Borrowed(sfa) => sfa.run_from_many(jobs),
         }
     }
 
@@ -206,7 +180,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.is_accepting(state),
             SfaBackend::Lazy(sfa) => sfa.is_accepting(state),
-            SfaBackend::Borrowed(sfa) => sfa.is_accepting(state),
         }
     }
 
@@ -217,7 +190,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.is_sink(state),
             SfaBackend::Lazy(sfa) => sfa.is_sink(state),
-            SfaBackend::Borrowed(sfa) => sfa.is_sink(state),
         }
     }
 
@@ -228,7 +200,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.compose_states(a, b),
             SfaBackend::Lazy(sfa) => sfa.compose_states(a, b),
-            SfaBackend::Borrowed(sfa) => sfa.compose_states(a, b),
         }
     }
 
@@ -236,9 +207,8 @@ impl SfaBackend {
     /// backends cannot hand out references into their locked cache).
     pub fn mapping(&self, state: SfaStateId) -> Transformation {
         match self {
-            SfaBackend::Eager(sfa) => sfa.mapping(state).clone(),
+            SfaBackend::Eager(sfa) => sfa.mapping(state),
             SfaBackend::Lazy(sfa) => sfa.mapping(state),
-            SfaBackend::Borrowed(sfa) => sfa.mapping(state),
         }
     }
 
@@ -247,9 +217,8 @@ impl SfaBackend {
     #[inline]
     pub fn apply(&self, state: SfaStateId, q: StateId) -> StateId {
         match self {
-            SfaBackend::Eager(sfa) => sfa.mapping(state).apply(q),
+            SfaBackend::Eager(sfa) => sfa.apply(state, q),
             SfaBackend::Lazy(sfa) => sfa.apply(state, q),
-            SfaBackend::Borrowed(sfa) => sfa.apply(state, q),
         }
     }
 
@@ -259,7 +228,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.state_of(mapping),
             SfaBackend::Lazy(sfa) => sfa.state_of(mapping),
-            SfaBackend::Borrowed(sfa) => sfa.state_of(mapping),
         }
     }
 
@@ -269,7 +237,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.dfa_start(),
             SfaBackend::Lazy(sfa) => sfa.dfa_start(),
-            SfaBackend::Borrowed(sfa) => sfa.dfa_start(),
         }
     }
 
@@ -279,7 +246,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.dfa_is_accepting(q),
             SfaBackend::Lazy(sfa) => sfa.dfa_is_accepting(q),
-            SfaBackend::Borrowed(sfa) => sfa.dfa_is_accepting(q),
         }
     }
 
@@ -290,7 +256,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.pattern_count(),
             SfaBackend::Lazy(sfa) => sfa.pattern_count(),
-            SfaBackend::Borrowed(sfa) => sfa.pattern_count(),
         }
     }
 
@@ -301,7 +266,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.dfa_accepting_patterns(q),
             SfaBackend::Lazy(sfa) => sfa.dfa_accepting_patterns(q),
-            SfaBackend::Borrowed(sfa) => sfa.dfa_accepting_patterns(q),
         }
     }
 
@@ -314,7 +278,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.accepting_patterns(state),
             SfaBackend::Lazy(sfa) => sfa.accepting_patterns(state),
-            SfaBackend::Borrowed(sfa) => sfa.accepting_patterns(state),
         }
     }
 
@@ -325,7 +288,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.num_states(),
             SfaBackend::Lazy(sfa) => sfa.num_states_constructed(),
-            SfaBackend::Borrowed(sfa) => sfa.num_states(),
         }
     }
 
@@ -335,7 +297,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.num_dfa_states(),
             SfaBackend::Lazy(sfa) => sfa.num_dfa_states(),
-            SfaBackend::Borrowed(sfa) => sfa.num_dfa_states(),
         }
     }
 
@@ -345,7 +306,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.num_classes(),
             SfaBackend::Lazy(sfa) => sfa.num_classes(),
-            SfaBackend::Borrowed(sfa) => sfa.num_classes(),
         }
     }
 
@@ -355,7 +315,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.table_bytes(),
             SfaBackend::Lazy(sfa) => sfa.table_bytes(),
-            SfaBackend::Borrowed(sfa) => sfa.table_bytes(),
         }
     }
 
@@ -365,7 +324,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.byte_table_bytes(),
             SfaBackend::Lazy(_) => 0,
-            SfaBackend::Borrowed(sfa) => sfa.byte_table_bytes(),
         }
     }
 
@@ -374,7 +332,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.mapping_bytes(),
             SfaBackend::Lazy(sfa) => sfa.mapping_bytes(),
-            SfaBackend::Borrowed(sfa) => sfa.mapping_bytes(),
         }
     }
 
@@ -384,7 +341,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.premultiplied(),
             SfaBackend::Lazy(_) => false,
-            SfaBackend::Borrowed(sfa) => sfa.premultiplied(),
         }
     }
 
@@ -396,7 +352,6 @@ impl SfaBackend {
         match self {
             SfaBackend::Eager(sfa) => sfa.repr(),
             SfaBackend::Lazy(_) => StateIdRepr::U32,
-            SfaBackend::Borrowed(sfa) => sfa.repr(),
         }
     }
 
@@ -413,9 +368,7 @@ impl SfaBackend {
     pub fn scan_kernel(&self) -> &'static str {
         match self {
             SfaBackend::Eager(sfa) => sfa.scan_kernel(),
-            // Borrowed tables carry no alignment guarantee, so their
-            // scans stay on the monomorphized scalar loops.
-            SfaBackend::Lazy(_) | SfaBackend::Borrowed(_) => "scalar",
+            SfaBackend::Lazy(_) => "scalar",
         }
     }
 
@@ -427,7 +380,7 @@ impl SfaBackend {
     pub fn preferred_lanes(&self) -> usize {
         match self {
             SfaBackend::Eager(sfa) => sfa.preferred_lanes(),
-            SfaBackend::Lazy(_) | SfaBackend::Borrowed(_) => 1,
+            SfaBackend::Lazy(_) => 1,
         }
     }
 }

@@ -16,7 +16,9 @@ use crate::simd;
 use crate::SfaConfig;
 use sfa_automata::{ByteClasses, CompileError, Dfa, PatternSet, StateId};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of an SFA state.
 ///
@@ -105,96 +107,81 @@ impl std::fmt::Display for StateIdRepr {
     }
 }
 
-/// Storage-width abstraction behind the packed tables: all three widths
-/// implement the same two-method interface so each scan loop is written
-/// once, generically, and monomorphized per width — the repr is matched
-/// **once per call**, never per byte.
-trait PackedId: Copy {
-    fn pack(v: SfaStateId) -> Self;
-    fn unpack(self) -> SfaStateId;
+/// The shared bytes a [`DSfa`] keeps its tables in: the buffer
+/// [`DSfa::from_dfa`] writes, or a serialized artifact (typically a
+/// memory mapping) handed to [`DSfa::from_parts`] — anything that can hand
+/// out `&[u8]`. Clones of the automaton share it, which keeps a mapping
+/// alive for as long as any clone is.
+pub type ArtifactBytes = Arc<dyn AsRef<[u8]> + Send + Sync>;
+
+/// Byte ranges into a shared buffer locating one automaton's tables, in
+/// the layout [`DSfa`] stores them. Produced by the artifact parser
+/// (`sfa-serialize`); consumed, together with the reconstructed source
+/// [`Dfa`], by [`DSfa::from_parts`].
+pub struct DSfaParts {
+    /// The shared buffer every range below indexes into.
+    pub data: ArtifactBytes,
+    /// The packed width of the state ids stored in `table` / `byte_table`.
+    pub repr: StateIdRepr,
+    /// Number of SFA states (`|S_d|`).
+    pub num_states: usize,
+    /// The class-compressed transition rows: `num_states × classes`
+    /// little-endian ids at `repr` width.
+    pub table: Range<usize>,
+    /// The premultiplied dense byte table, when there is one:
+    /// `num_states × 256` little-endian ids at `repr` width.
+    pub byte_table: Option<Range<usize>>,
+    /// The state mappings: `num_states × |D|` little-endian `u32` DFA
+    /// state ids (row `s` is the transformation carried by SFA state `s`).
+    pub mappings: Range<usize>,
 }
 
-impl PackedId for u8 {
-    #[inline(always)]
-    fn pack(v: SfaStateId) -> u8 {
-        v as u8
-    }
-    #[inline(always)]
-    fn unpack(self) -> SfaStateId {
-        self as SfaStateId
-    }
-}
-
-impl PackedId for u16 {
-    #[inline(always)]
-    fn pack(v: SfaStateId) -> u16 {
-        v as u16
-    }
-    #[inline(always)]
-    fn unpack(self) -> SfaStateId {
-        self as SfaStateId
-    }
-}
-
-impl PackedId for u32 {
-    #[inline(always)]
-    fn pack(v: SfaStateId) -> u32 {
-        v
-    }
-    #[inline(always)]
-    fn unpack(self) -> SfaStateId {
-        self
-    }
-}
-
-/// A row-major state-id table in one of the three packed widths.
-/// `pub(crate)` so the `simd` kernels can borrow the premultiplied table
-/// at its packed width.
-#[derive(Clone, Debug)]
-pub(crate) enum PackedIds {
-    U8(Box<[u8]>),
-    U16(Box<[u16]>),
-    U32(Box<[u32]>),
-}
-
-impl PackedIds {
-    /// Packs full-width working ids down to `repr`. The caller guarantees
-    /// every id fits (the repr is never narrower than `|S_d|` requires).
-    fn pack(ids: &[SfaStateId], repr: StateIdRepr) -> PackedIds {
-        match repr {
-            StateIdRepr::U8 => PackedIds::U8(ids.iter().map(|&v| u8::pack(v)).collect()),
-            StateIdRepr::U16 => PackedIds::U16(ids.iter().map(|&v| u16::pack(v)).collect()),
-            StateIdRepr::U32 => PackedIds::U32(ids.iter().map(|&v| u32::pack(v)).collect()),
+/// Calls `$f::<W>(args…)` with the byte width `W` of a [`StateIdRepr`]:
+/// the packed width is matched **once per call**, never per byte, and
+/// each arm runs a loop monomorphized for its width.
+macro_rules! with_width {
+    ($repr:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $repr {
+            StateIdRepr::U8 => $f::<1>($($arg),*),
+            StateIdRepr::U16 => $f::<2>($($arg),*),
+            StateIdRepr::U32 => $f::<4>($($arg),*),
         }
-    }
+    };
+}
 
-    /// One entry, widened back to the interface width.
-    #[inline]
-    fn get(&self, i: usize) -> SfaStateId {
-        match self {
-            PackedIds::U8(t) => t[i].unpack(),
-            PackedIds::U16(t) => t[i].unpack(),
-            PackedIds::U32(t) => t[i].unpack(),
-        }
-    }
+/// A packed table viewed as `W`-byte little-endian ids.
+#[inline(always)]
+fn ids<const W: usize>(bytes: &[u8]) -> &[[u8; W]] {
+    bytes.as_chunks::<W>().0
+}
 
-    /// Total packed footprint in bytes.
-    fn bytes(&self) -> usize {
-        match self {
-            PackedIds::U8(t) => t.len(),
-            PackedIds::U16(t) => t.len() * 2,
-            PackedIds::U32(t) => t.len() * 4,
-        }
-    }
+/// Entry `i` of a `W`-byte id table, widened to the interface width (one
+/// zero-extending load of the packed width).
+#[inline(always)]
+fn id<const W: usize>(table: &[[u8; W]], i: usize) -> SfaStateId {
+    let mut le = [0u8; 4];
+    le[..W].copy_from_slice(&table[i]);
+    SfaStateId::from_le_bytes(le)
+}
 
-    /// Widens the whole table back to `u32` (the boundary representation
-    /// [`DSfa::as_dfa`] hands to the automata layer).
-    fn unpack(&self) -> Vec<SfaStateId> {
-        match self {
-            PackedIds::U8(t) => t.iter().map(|&v| v.unpack()).collect(),
-            PackedIds::U16(t) => t.iter().map(|&v| v.unpack()).collect(),
-            PackedIds::U32(t) => t.iter().map(|&v| v.unpack()).collect(),
-        }
+/// Entry `i` of the packed table `bytes` at width `W`.
+#[inline(always)]
+fn id_at<const W: usize>(bytes: &[u8], i: usize) -> SfaStateId {
+    id(ids::<W>(bytes), i)
+}
+
+/// Entry `i` of the packed table `bytes` at width `repr` (for the
+/// non-hot accessors; scans hoist the width match out of their loops).
+#[inline]
+fn read(bytes: &[u8], repr: StateIdRepr, i: usize) -> SfaStateId {
+    with_width!(repr, id_at(bytes, i))
+}
+
+/// Writes full-width ids into `dst` as `W`-byte little-endian entries.
+/// The caller guarantees every id fits the width.
+fn pack<const W: usize>(dst: &mut [u8], src: impl Iterator<Item = SfaStateId>) {
+    for (slot, v) in dst.as_chunks_mut::<W>().0.iter_mut().zip(src) {
+        slot.copy_from_slice(&v.to_le_bytes()[..W]);
     }
 }
 
@@ -208,15 +195,16 @@ pub const INTERLEAVE_LANES: usize = 4;
 /// byte, sink bitmap consulted only on state change (see
 /// [`DSfa::run_from`]).
 #[inline]
-fn scan_dense<T: PackedId>(
-    table: &[T],
+fn scan_dense<const W: usize>(
+    table: &[u8],
     sink: &[bool],
     state: SfaStateId,
     input: &[u8],
 ) -> SfaStateId {
+    let table = ids::<W>(table);
     let mut f = state;
     for &b in input {
-        let next = table[f as usize * 256 + b as usize].unpack();
+        let next = id(table, f as usize * 256 + b as usize);
         if next != f {
             f = next;
             if sink[f as usize] {
@@ -231,17 +219,18 @@ fn scan_dense<T: PackedId>(
 /// premultiplied table: one `class_of` indirection plus one row lookup
 /// per byte).
 #[inline]
-fn scan_classes<T: PackedId>(
-    table: &[T],
+fn scan_classes<const W: usize>(
+    table: &[u8],
     classes: &ByteClasses,
     stride: usize,
     sink: &[bool],
     state: SfaStateId,
     input: &[u8],
 ) -> SfaStateId {
+    let table = ids::<W>(table);
     let mut f = state;
     for &b in input {
-        let next = table[f as usize * stride + classes.class_of(b) as usize].unpack();
+        let next = id(table, f as usize * stride + classes.class_of(b) as usize);
         if next != f {
             f = next;
             if sink[f as usize] {
@@ -259,51 +248,72 @@ fn scan_classes<T: PackedId>(
 /// self-loops on every byte, so walking it is harmless, and the caller
 /// finishes the tails through [`DSfa::run_from`] (which early-exits).
 #[inline]
-fn scan_dense_lanes<T: PackedId>(
-    table: &[T],
+fn scan_dense_lanes<const W: usize>(
+    table: &[u8],
     f: &mut [SfaStateId; INTERLEAVE_LANES],
     inputs: &[&[u8]; INTERLEAVE_LANES],
     common: usize,
 ) {
+    let table = ids::<W>(table);
     let a = &inputs[0][..common];
     let b = &inputs[1][..common];
     let c = &inputs[2][..common];
     let d = &inputs[3][..common];
     for ((&b0, &b1), (&b2, &b3)) in a.iter().zip(b).zip(c.iter().zip(d)) {
-        f[0] = table[f[0] as usize * 256 + b0 as usize].unpack();
-        f[1] = table[f[1] as usize * 256 + b1 as usize].unpack();
-        f[2] = table[f[2] as usize * 256 + b2 as usize].unpack();
-        f[3] = table[f[3] as usize * 256 + b3 as usize].unpack();
+        f[0] = id(table, f[0] as usize * 256 + b0 as usize);
+        f[1] = id(table, f[1] as usize * 256 + b1 as usize);
+        f[2] = id(table, f[2] as usize * 256 + b2 as usize);
+        f[3] = id(table, f[3] as usize * 256 + b3 as usize);
     }
 }
 
 /// A simultaneous finite automaton built from a DFA.
-#[derive(Clone, Debug)]
+///
+/// One storage layout, whatever the automaton's origin: the class rows,
+/// the optional premultiplied byte table and the flat state mappings are
+/// byte ranges of one shared [`ArtifactBytes`] buffer, stored as
+/// little-endian ids at the packed width — exactly the section layout of
+/// a serialized artifact. [`DSfa::from_dfa`] writes the tables into an
+/// owned buffer; [`DSfa::from_parts`] validates and adopts the ranges of
+/// a loaded (typically memory-mapped) artifact without copying them.
+/// Either way every scan kernel applies. Small derived state (the sink
+/// and accepting bitmaps, the DFA accept metadata) is owned.
+#[derive(Clone)]
 pub struct DSfa {
+    /// The buffer every table range below indexes into.
+    data: ArtifactBytes,
+    /// True when `data` is a whole artifact the automaton was loaded from
+    /// ([`DSfa::from_parts`]); false when it holds just the tables
+    /// [`DSfa::from_dfa`] wrote.
+    loaded: bool,
     classes: ByteClasses,
     stride: usize,
-    /// The packed width both tables store ids at (never narrower than
-    /// `|S_d|` requires; see [`StateIdRepr`]).
+    /// The packed width both transition tables store ids at (never
+    /// narrower than `|S_d|` requires; see [`StateIdRepr`]).
     repr: StateIdRepr,
-    table: PackedIds,
+    num_states: usize,
+    /// Class-compressed rows: `|S_d| × stride` ids.
+    table: Range<usize>,
     /// Premultiplied dense `256 × |S_d|` byte→state table (row `s` holds
     /// the successor of `s` for every raw byte value), built when
     /// [`SfaConfig::premultiply`] is set and the **packed** table fits the
     /// size ceiling. Fuses the `class_of` indirection out of the hot loop.
-    byte_table: Option<PackedIds>,
+    byte_table: Option<Range<usize>>,
+    /// The state mappings: `|S_d| × |D|` `u32` DFA state ids, row `s`
+    /// being the transformation carried by SFA state `s`.
+    mappings: Range<usize>,
     /// `sink[s]` is true when every transition of `s` loops back to `s` —
     /// once reached, the mapping can never change again, so a chunk run may
     /// stop early (the constant/synchronizing-word early exit: the all-dead
     /// mapping is always a sink, and in `Contains` mode so is the
     /// constant-to-accepting mapping).
     sink: Box<[bool]>,
-    accepting: Vec<bool>,
-    mappings: Vec<Transformation>,
+    accepting: Box<[bool]>,
     /// Mapping → state-id index, built lazily on the first
     /// [`state_of`](DSfa::state_of) / [`compose_states`](DSfa::compose_states)
     /// call that needs it (streaming composition does; the chunk-scan hot
-    /// paths never do). Costs roughly as much memory as `mappings` itself,
-    /// which is why it is not built eagerly for every SFA.
+    /// paths never do). Costs roughly as much memory as the mappings
+    /// themselves, which is why it is not built eagerly for every SFA.
     state_index: OnceLock<HashMap<Transformation, SfaStateId>>,
     /// SIMD kernels for this automaton, built lazily on the first scan
     /// after runtime CPU detection (`None` when only the scalar loops
@@ -311,15 +321,27 @@ pub struct DSfa {
     #[cfg(feature = "simd")]
     simd: OnceLock<Option<simd::SimdKernels>>,
     dfa_start: StateId,
-    dfa_accepting: Vec<bool>,
+    dfa_accepting: Box<[bool]>,
     /// Number of original patterns compiled into the source DFA.
     pattern_count: usize,
     /// Per-DFA-state index into `dfa_accept_sets` (copied from the source
     /// DFA): which patterns each DFA state accepts.
-    dfa_accept_index: Vec<u32>,
+    dfa_accept_index: Box<[u32]>,
     /// The distinct pattern accept sets of the source DFA (entry 0 is the
     /// empty set).
     dfa_accept_sets: Vec<PatternSet>,
+}
+
+impl std::fmt::Debug for DSfa {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DSfa")
+            .field("num_states", &self.num_states)
+            .field("num_dfa_states", &self.num_dfa_states())
+            .field("repr", &self.repr)
+            .field("premultiplied", &self.premultiplied())
+            .field("artifact_bytes", &self.artifact_bytes())
+            .finish()
+    }
 }
 
 impl DSfa {
@@ -331,16 +353,19 @@ impl DSfa {
     /// `f_next(q) = δ(f(q), σ)`. Mappings are interned so each distinct
     /// transformation becomes exactly one SFA state.
     pub fn from_dfa(dfa: &Dfa, config: &SfaConfig) -> Result<DSfa, CompileError> {
-        let n = dfa.num_states();
+        let d = dfa.num_states();
         let stride = dfa.num_classes();
 
-        let mut ids: HashMap<Transformation, SfaStateId> = HashMap::new();
-        let mut mappings: Vec<Transformation> = Vec::new();
+        // The interning keys share their mapping with `mappings` (one copy
+        // per state, not two), so flattening into the buffer below never
+        // holds more than the mappings plus the buffer.
+        let mut ids: HashMap<Rc<Transformation>, SfaStateId> = HashMap::new();
+        let mut mappings: Vec<Rc<Transformation>> = Vec::new();
         let mut table: Vec<SfaStateId> = Vec::new();
 
         let intern = |f: Transformation,
-                      mappings: &mut Vec<Transformation>,
-                      ids: &mut HashMap<Transformation, SfaStateId>|
+                      mappings: &mut Vec<Rc<Transformation>>,
+                      ids: &mut HashMap<Rc<Transformation>, SfaStateId>|
          -> Result<SfaStateId, CompileError> {
             if let Some(&id) = ids.get(&f) {
                 return Ok(id);
@@ -349,17 +374,18 @@ impl DSfa {
                 return Err(CompileError::TooManyStates { limit: config.max_states });
             }
             let id = mappings.len() as SfaStateId;
-            ids.insert(f.clone(), id);
+            let f = Rc::new(f);
+            ids.insert(Rc::clone(&f), id);
             mappings.push(f);
             Ok(id)
         };
 
-        let initial = intern(Transformation::identity(n), &mut mappings, &mut ids)?;
+        let initial = intern(Transformation::identity(d), &mut mappings, &mut ids)?;
         debug_assert_eq!(initial, 0);
 
         let mut processed = 0usize;
         while processed < mappings.len() {
-            let current = mappings[processed].clone();
+            let current = Rc::clone(&mappings[processed]);
             processed += 1;
             for class in 0..stride {
                 let next = Transformation::from_vec(
@@ -373,75 +399,180 @@ impl DSfa {
                 table.push(next_id);
             }
         }
-
-        let dfa_start = dfa.start();
-        let accepting = mappings.iter().map(|f| dfa.is_accepting(f.apply(dfa_start))).collect();
-
-        let num_states = mappings.len();
-        let sink: Box<[bool]> = (0..num_states)
-            .map(|s| (0..stride).all(|c| table[s * stride + c] == s as SfaStateId))
-            .collect();
+        drop(ids);
 
         // Interning works in full-width ids; only now that |S_d| is known
         // can the storage width be chosen. A configured override is
         // honored only when it is at least as wide as the automaton
         // requires (a narrower one would truncate ids).
-        let auto = StateIdRepr::for_states(num_states);
+        let n = mappings.len();
+        let auto = StateIdRepr::for_states(n);
         let repr = match config.repr {
             Some(r) if r.bytes() >= auto.bytes() => r,
             _ => auto,
         };
+        let w = repr.bytes();
+        let premultiply = config.premultiply
+            && n.saturating_mul(256).saturating_mul(w) <= SfaConfig::PREMULTIPLY_MAX_BYTES;
 
-        let classes = dfa.classes().clone();
-        let byte_table = if config.premultiply
-            && num_states.saturating_mul(256).saturating_mul(repr.bytes())
-                <= SfaConfig::PREMULTIPLY_MAX_BYTES
-        {
-            // Built directly at the packed width — a u32 staging table for
-            // a 65k-state u16 automaton would transiently double the 64 MiB
-            // ceiling this gate just enforced.
-            fn dense<T: PackedId>(
-                table: &[SfaStateId],
-                classes: &ByteClasses,
-                stride: usize,
-                num_states: usize,
-            ) -> Box<[T]> {
-                let mut out = Vec::with_capacity(num_states * 256);
-                for s in 0..num_states {
-                    let row = &table[s * stride..(s + 1) * stride];
-                    for byte in 0..=255u8 {
-                        out.push(T::pack(row[classes.class_of(byte) as usize]));
-                    }
-                }
-                out.into_boxed_slice()
+        // Every size is known, so the buffer is allocated once at its
+        // exact length and never grows.
+        let table_range = 0..n * stride * w;
+        let byte_table = premultiply.then(|| table_range.end..table_range.end + n * 256 * w);
+        let map_start = byte_table.as_ref().map_or(table_range.end, |r| r.end);
+        let mapping_range = map_start..map_start + n * d * 4;
+        let mut buf = vec![0u8; mapping_range.end];
+        with_width!(repr, pack(&mut buf[table_range.clone()], table.iter().copied()));
+        if let Some(range) = &byte_table {
+            let classes = dfa.classes();
+            let dense = table
+                .chunks_exact(stride)
+                .flat_map(|row| (0..=255u8).map(move |b| row[classes.class_of(b) as usize]));
+            with_width!(repr, pack(&mut buf[range.clone()], dense));
+        }
+        drop(table);
+        // Each mapping moves into its row and is freed as it goes (the
+        // interning map that shared it is already gone).
+        let rows = buf[mapping_range.clone()].as_chunks_mut::<4>().0;
+        for (row, f) in rows.chunks_exact_mut(d).zip(mappings) {
+            for (slot, &q) in row.iter_mut().zip(f.as_slice()) {
+                *slot = q.to_le_bytes();
             }
-            Some(match repr {
-                StateIdRepr::U8 => PackedIds::U8(dense(&table, &classes, stride, num_states)),
-                StateIdRepr::U16 => PackedIds::U16(dense(&table, &classes, stride, num_states)),
-                StateIdRepr::U32 => PackedIds::U32(dense(&table, &classes, stride, num_states)),
-            })
-        } else {
-            None
-        };
+        }
 
-        Ok(DSfa {
-            classes,
+        let parts = DSfaParts {
+            data: Arc::new(buf),
+            repr,
+            num_states: n,
+            table: table_range,
+            byte_table,
+            mappings: mapping_range,
+        };
+        Ok(DSfa::assemble(parts, dfa, false))
+    }
+
+    /// Validates tables stored in a shared buffer — a loaded artifact's
+    /// sections — and assembles the automaton around them without copying
+    /// them.
+    ///
+    /// `dfa` is the reconstructed (and already [`Dfa::validate`]d) source
+    /// automaton; its accept metadata is copied — it is small — while the
+    /// SFA tables stay in `parts.data`. Every invariant a scan loop relies
+    /// on is checked here so corrupt artifacts fail closed with a reason
+    /// instead of panicking mid-match:
+    ///
+    /// * all three ranges lie inside the buffer and have exactly the
+    ///   advertised `count × width` lengths,
+    /// * every transition target (class rows *and* byte table) is a valid
+    ///   SFA state id,
+    /// * every mapping entry is a valid DFA state id,
+    /// * state 0 carries the identity mapping (the composition shortcuts
+    ///   assume it).
+    ///
+    /// The sink and accepting bitmaps are then derived from the validated
+    /// tables, never read from the artifact.
+    pub fn from_parts(parts: DSfaParts, dfa: &Dfa) -> Result<DSfa, String> {
+        let DSfaParts { data, repr, num_states: n, table, byte_table, mappings } = &parts;
+        let (n, repr) = (*n, *repr);
+        let buf = (**data).as_ref();
+        let d = dfa.num_states();
+        let stride = dfa.num_classes();
+        let w = repr.bytes();
+        if n == 0 {
+            return Err("an SFA needs at least one state".to_string());
+        }
+        if n > repr.max_states() {
+            return Err(format!("{n} states do not fit the declared {repr} id width"));
+        }
+        let check_range = |range: &Range<usize>, len: usize, what: &str| -> Result<(), String> {
+            if range.start > range.end || range.end > buf.len() {
+                return Err(format!(
+                    "{what} range {}..{} escapes the {}-byte buffer",
+                    range.start,
+                    range.end,
+                    buf.len()
+                ));
+            }
+            if range.len() != len {
+                return Err(format!("{what} has {} bytes, expected {len}", range.len()));
+            }
+            Ok(())
+        };
+        let size = |per_state: usize| {
+            n.checked_mul(per_state).ok_or_else(|| format!("{n} states overflow the table size"))
+        };
+        check_range(table, size(stride * w)?, "class-row table")?;
+        if let Some(bt) = byte_table {
+            check_range(bt, size(256 * w)?, "premultiplied byte table")?;
+        }
+        check_range(mappings, size(d.saturating_mul(4))?, "mapping table")?;
+
+        let check_ids = |range: &Range<usize>, limit: usize, what: &str| -> Result<(), String> {
+            let bytes = &buf[range.clone()];
+            for i in 0..bytes.len() / w {
+                let id = read(bytes, repr, i);
+                if id as usize >= limit {
+                    return Err(format!("{what} entry {i} is {id}, out of range (0..{limit})"));
+                }
+            }
+            Ok(())
+        };
+        check_ids(table, n, "class-row")?;
+        if let Some(bt) = byte_table {
+            check_ids(bt, n, "byte-table")?;
+        }
+        let maps = ids::<4>(&buf[mappings.clone()]);
+        if let Some((i, q)) = maps
+            .iter()
+            .map(|&q| StateId::from_le_bytes(q))
+            .enumerate()
+            .find(|&(_, q)| q as usize >= d)
+        {
+            return Err(format!("mapping entry {i} is {q}, out of range (0..{d})"));
+        }
+        if !maps[..d].iter().enumerate().all(|(q, &m)| StateId::from_le_bytes(m) as usize == q) {
+            return Err("state 0 does not carry the identity mapping".to_string());
+        }
+        Ok(DSfa::assemble(parts, dfa, true))
+    }
+
+    /// Wraps tables whose ids are known to be in range, deriving the sink
+    /// and accepting bitmaps from them and copying the small accept
+    /// metadata of `dfa`.
+    fn assemble(parts: DSfaParts, dfa: &Dfa, loaded: bool) -> DSfa {
+        let DSfaParts { data, repr, num_states: n, table, byte_table, mappings } = parts;
+        let stride = dfa.num_classes();
+        let d = dfa.num_states();
+        let buf = (*data).as_ref();
+        let rows = &buf[table.clone()];
+        let sink: Box<[bool]> = (0..n)
+            .map(|s| (0..stride).all(|c| read(rows, repr, s * stride + c) as usize == s))
+            .collect();
+        let start = dfa.start();
+        let maps = ids::<4>(&buf[mappings.clone()]);
+        let accepting: Box<[bool]> =
+            (0..n).map(|s| dfa.is_accepting(id(maps, s * d + start as usize))).collect();
+        DSfa {
+            data,
+            loaded,
+            classes: dfa.classes().clone(),
             stride,
             repr,
-            table: PackedIds::pack(&table, repr),
+            num_states: n,
+            table,
             byte_table,
+            mappings,
             sink,
             accepting,
-            mappings,
             state_index: OnceLock::new(),
             #[cfg(feature = "simd")]
             simd: OnceLock::new(),
-            dfa_start,
-            dfa_accepting: dfa.accepting().to_vec(),
+            dfa_start: start,
+            dfa_accepting: dfa.accepting().into(),
             pattern_count: dfa.pattern_count(),
-            dfa_accept_index: dfa.accept_indices().to_vec(),
+            dfa_accept_index: dfa.accept_indices().into(),
             dfa_accept_sets: dfa.distinct_accept_sets().to_vec(),
-        })
+        }
     }
 
     /// Convenience: pattern → NFA → DFA → minimal DFA → D-SFA with default
@@ -451,10 +582,42 @@ impl DSfa {
         DSfa::from_dfa(&dfa, &SfaConfig::default())
     }
 
+    /// The whole shared buffer.
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        (*self.data).as_ref()
+    }
+
+    /// The class-compressed transition rows as stored: `|S_d| × classes`
+    /// little-endian ids at the packed width — byte for byte the
+    /// artifact's class-row section.
+    pub fn table_section(&self) -> &[u8] {
+        &self.bytes()[self.table.clone()]
+    }
+
+    /// The premultiplied byte table as stored (`|S_d| × 256` little-endian
+    /// ids at the packed width), when it was built.
+    pub fn byte_table_section(&self) -> Option<&[u8]> {
+        self.byte_table.as_ref().map(|r| &self.bytes()[r.clone()])
+    }
+
+    /// The state mappings as stored: `|S_d| × |D|` little-endian `u32`
+    /// DFA state ids, row `s` being the mapping of SFA state `s`.
+    pub fn mapping_section(&self) -> &[u8] {
+        &self.bytes()[self.mappings.clone()]
+    }
+
+    /// Size of the serialized artifact this automaton was loaded from
+    /// ([`DSfa::from_parts`]) — what an on-disk size report should
+    /// attribute to it. `None` for an automaton built in memory.
+    pub fn artifact_bytes(&self) -> Option<usize> {
+        self.loaded.then(|| self.bytes().len())
+    }
+
     /// Number of SFA states (`|S_d|` in the paper).
     #[inline]
     pub fn num_states(&self) -> usize {
-        self.mappings.len()
+        self.num_states
     }
 
     /// Number of states of the source DFA.
@@ -523,28 +686,43 @@ impl DSfa {
     /// interned-set index.
     #[inline]
     pub fn accepting_patterns(&self, state: SfaStateId) -> &PatternSet {
-        self.dfa_accepting_patterns(self.mappings[state as usize].apply(self.dfa_start))
+        self.dfa_accepting_patterns(self.apply(state, self.dfa_start))
     }
 
-    /// The mapping (transformation) carried by an SFA state.
+    /// Row `state` of the flat mapping table.
     #[inline]
-    pub fn mapping(&self, state: SfaStateId) -> &Transformation {
-        &self.mappings[state as usize]
+    fn mapping_row(&self, state: SfaStateId) -> &[[u8; 4]] {
+        let d = self.num_dfa_states();
+        &ids::<4>(self.mapping_section())[state as usize * d..][..d]
+    }
+
+    /// Applies the mapping of `state` to one DFA state — one `u32` load,
+    /// no allocation (the sequential reduction's `f(q)` lookup).
+    #[inline]
+    pub fn apply(&self, state: SfaStateId, q: StateId) -> StateId {
+        StateId::from_le_bytes(self.mapping_row(state)[q as usize])
+    }
+
+    /// The mapping (transformation) carried by an SFA state, materialized
+    /// from the flat table (`O(|D|)`).
+    pub fn mapping(&self, state: SfaStateId) -> Transformation {
+        Transformation::from_vec(
+            self.mapping_row(state).iter().map(|&q| StateId::from_le_bytes(q)).collect(),
+        )
     }
 
     /// Transition on a byte class.
     #[inline]
     pub fn next_by_class(&self, state: SfaStateId, class: u16) -> SfaStateId {
-        self.table.get(state as usize * self.stride + class as usize)
+        read(self.table_section(), self.repr, state as usize * self.stride + class as usize)
     }
 
     /// Transition on a byte — one table lookup, exactly like the DFA.
     #[inline]
     pub fn next_state(&self, state: SfaStateId, byte: u8) -> SfaStateId {
-        if let Some(bt) = &self.byte_table {
-            bt.get(state as usize * 256 + byte as usize)
-        } else {
-            self.next_by_class(state, self.classes.class_of(byte))
+        match self.byte_table_section() {
+            Some(bt) => read(bt, self.repr, state as usize * 256 + byte as usize),
+            None => self.next_by_class(state, self.classes.class_of(byte)),
         }
     }
 
@@ -630,23 +808,19 @@ impl DSfa {
     /// [`run_from_scalar`](DSfa::run_from_scalar).
     #[inline]
     fn scan_scalar(&self, state: SfaStateId, input: &[u8]) -> SfaStateId {
-        // One match on (table kind × packed width) per *call*; each arm is
-        // a monomorphized loop whose loads are the packed width.
-        match &self.byte_table {
-            Some(PackedIds::U8(t)) => scan_dense(t, &self.sink, state, input),
-            Some(PackedIds::U16(t)) => scan_dense(t, &self.sink, state, input),
-            Some(PackedIds::U32(t)) => scan_dense(t, &self.sink, state, input),
-            None => match &self.table {
-                PackedIds::U8(t) => {
-                    scan_classes(t, &self.classes, self.stride, &self.sink, state, input)
-                }
-                PackedIds::U16(t) => {
-                    scan_classes(t, &self.classes, self.stride, &self.sink, state, input)
-                }
-                PackedIds::U32(t) => {
-                    scan_classes(t, &self.classes, self.stride, &self.sink, state, input)
-                }
-            },
+        match self.byte_table_section() {
+            Some(t) => with_width!(self.repr, scan_dense(t, &self.sink, state, input)),
+            None => with_width!(
+                self.repr,
+                scan_classes(
+                    self.table_section(),
+                    &self.classes,
+                    self.stride,
+                    &self.sink,
+                    state,
+                    input
+                )
+            ),
         }
     }
 
@@ -684,7 +858,7 @@ impl DSfa {
     /// identical results.
     pub fn run_from_many_scalar(&self, jobs: &[(SfaStateId, &[u8])]) -> Vec<SfaStateId> {
         let mut out = Vec::with_capacity(jobs.len());
-        let Some(bt) = &self.byte_table else {
+        let Some(bt) = self.byte_table_section() else {
             out.extend(jobs.iter().map(|&(s, input)| self.run_from_scalar(s, input)));
             return out;
         };
@@ -693,11 +867,7 @@ impl DSfa {
             let mut f = [group[0].0, group[1].0, group[2].0, group[3].0];
             let inputs = [group[0].1, group[1].1, group[2].1, group[3].1];
             let common = inputs.iter().map(|s| s.len()).min().unwrap_or(0);
-            match bt {
-                PackedIds::U8(t) => scan_dense_lanes(t, &mut f, &inputs, common),
-                PackedIds::U16(t) => scan_dense_lanes(t, &mut f, &inputs, common),
-                PackedIds::U32(t) => scan_dense_lanes(t, &mut f, &inputs, common),
-            }
+            with_width!(self.repr, scan_dense_lanes(bt, &mut f, &inputs, common));
             for (lane, input) in inputs.iter().enumerate() {
                 out.push(self.run_from_scalar(f[lane], &input[common..]));
             }
@@ -730,13 +900,15 @@ impl DSfa {
                 .collect(),
             simd::SimdKernels::Gather(k) => {
                 let bt =
-                    self.byte_table.as_ref().expect("gather kernel implies a premultiplied table");
+                    self.byte_table_section().expect("gather kernel implies a premultiplied table");
                 let mut out = Vec::with_capacity(jobs.len());
                 let mut groups = jobs.chunks_exact(simd::GATHER_LANES);
                 for group in groups.by_ref() {
                     let mut f = [0 as SfaStateId; simd::GATHER_LANES];
                     let mut inputs: [&[u8]; simd::GATHER_LANES] = [&[]; simd::GATHER_LANES];
                     for (lane, &(s, input)) in group.iter().enumerate() {
+                        // The gather reads `s * 256 + byte` unchecked.
+                        assert!((s as usize) < self.num_states, "state {s} out of range");
                         f[lane] = s;
                         inputs[lane] = input;
                     }
@@ -760,7 +932,9 @@ impl DSfa {
     #[inline]
     fn simd_kernels(&self) -> Option<&simd::SimdKernels> {
         self.simd
-            .get_or_init(|| simd::SimdKernels::build(&self.byte_table, self.num_states()))
+            .get_or_init(|| {
+                simd::SimdKernels::build(self.byte_table_section(), self.repr, self.num_states)
+            })
             .as_ref()
     }
 
@@ -774,7 +948,7 @@ impl DSfa {
     pub fn scan_kernel(&self) -> &'static str {
         #[cfg(feature = "simd")]
         {
-            simd::kernel_name(&self.byte_table, self.num_states())
+            simd::kernel_name(self.premultiplied(), self.repr, self.num_states)
         }
         #[cfg(not(feature = "simd"))]
         {
@@ -800,7 +974,7 @@ impl DSfa {
     /// `Engine::plan_chunks_interleaved` to split each worker's chunk;
     /// composing the per-sub-chunk states (Lemma 1) keeps verdicts exact.
     pub fn preferred_lanes(&self) -> usize {
-        if self.byte_table.is_none() {
+        if !self.premultiplied() {
             return 1;
         }
         #[cfg(feature = "simd")]
@@ -826,7 +1000,13 @@ impl DSfa {
     /// Composes the mappings of two SFA states: if `a = f_w` and `b = f_v`,
     /// the result is `f_wv`. This is the `⋄` operator of the reduction step.
     pub fn compose(&self, a: SfaStateId, b: SfaStateId) -> Transformation {
-        self.mapping(a).then(self.mapping(b))
+        let second = self.mapping_row(b);
+        Transformation::from_vec(
+            self.mapping_row(a)
+                .iter()
+                .map(|&q| StateId::from_le_bytes(second[StateId::from_le_bytes(q) as usize]))
+                .collect(),
+        )
     }
 
     /// Composes two SFA states *as states*: the state whose mapping is
@@ -873,25 +1053,25 @@ impl DSfa {
     /// [`compose_states`](DSfa::compose_states).
     fn state_index(&self) -> &HashMap<Transformation, SfaStateId> {
         self.state_index.get_or_init(|| {
-            self.mappings.iter().enumerate().map(|(i, m)| (m.clone(), i as SfaStateId)).collect()
+            (0..self.num_states as SfaStateId).map(|s| (self.mapping(s), s)).collect()
         })
     }
 
     /// Bytes occupied by the (class-compressed) transition table, at the
     /// packed width.
     pub fn table_bytes(&self) -> usize {
-        self.table.bytes()
+        self.table.len()
     }
 
     /// Bytes occupied by the premultiplied dense byte table at the packed
     /// width (0 when it was not built).
     pub fn byte_table_bytes(&self) -> usize {
-        self.byte_table.as_ref().map_or(0, |t| t.bytes())
+        self.byte_table.as_ref().map_or(0, |r| r.len())
     }
 
     /// Bytes occupied by the state mappings (needed by the reduction step).
     pub fn mapping_bytes(&self) -> usize {
-        self.mappings.iter().map(|m| m.heap_bytes()).sum()
+        self.mappings.len()
     }
 
     /// Re-interprets the SFA as a plain DFA over the same byte classes
@@ -899,10 +1079,11 @@ impl DSfa {
     /// packed rows are widened back to the automata layer's `u32` ids at
     /// this boundary.
     pub fn as_dfa(&self) -> Dfa {
+        let rows = self.table_section();
         Dfa::from_parts(
             self.classes.clone(),
-            self.table.unpack(),
-            self.accepting.clone(),
+            (0..self.num_states * self.stride).map(|i| read(rows, self.repr, i)).collect(),
+            self.accepting.to_vec(),
             self.initial(),
         )
     }
@@ -1007,7 +1188,7 @@ mod tests {
         whole.extend_from_slice(w2);
         let f12 = sfa.run(&whole);
         // Lemma 1: f_{w1} ⋄ f_{w2} = f_{w1 w2}.
-        assert_eq!(&sfa.compose(f1, f2), sfa.mapping(f12));
+        assert_eq!(sfa.compose(f1, f2), sfa.mapping(f12));
         assert_eq!(sfa.state_of(&sfa.compose(f1, f2)), Some(f12));
     }
 
@@ -1342,6 +1523,141 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Copies `sfa`'s table sections into a fresh buffer behind one byte
+    /// of padding (so every table starts at an odd offset, as nothing in
+    /// an artifact guarantees alignment), and returns the buffer plus a
+    /// parts builder, so tests can corrupt the buffer first.
+    fn sections(sfa: &DSfa) -> (Vec<u8>, impl Fn(ArtifactBytes) -> DSfaParts + use<>) {
+        let mut buf = vec![0xAA];
+        buf.extend_from_slice(sfa.table_section());
+        let table = 1..buf.len();
+        let byte_table = sfa.byte_table_section().map(|bt| {
+            let start = buf.len();
+            buf.extend_from_slice(bt);
+            start..buf.len()
+        });
+        let map_start = buf.len();
+        buf.extend_from_slice(sfa.mapping_section());
+        let mappings = map_start..buf.len();
+        let (repr, num_states) = (sfa.repr(), sfa.num_states());
+        let parts = move |data: ArtifactBytes| DSfaParts {
+            data,
+            repr,
+            num_states,
+            table: table.clone(),
+            byte_table: byte_table.clone(),
+            mappings: mappings.clone(),
+        };
+        (buf, parts)
+    }
+
+    fn loaded(pattern: &str, premultiply: bool) -> (Dfa, DSfa, DSfa) {
+        let dfa = minimal_dfa_from_pattern(pattern).unwrap();
+        let sfa = DSfa::from_dfa(&dfa, &SfaConfig { premultiply, ..SfaConfig::default() }).unwrap();
+        let (buf, parts_of) = sections(&sfa);
+        let loaded = DSfa::from_parts(parts_of(Arc::new(buf)), &dfa).unwrap();
+        (dfa, sfa, loaded)
+    }
+
+    #[test]
+    fn loaded_scans_agree_with_built() {
+        for premultiply in [true, false] {
+            for pattern in ["(ab)*", "(a|b)*abb", "([0-4]{2}[5-9]{2})*", "a{2,4}b{1,3}"] {
+                let (dfa, sfa, loaded) = loaded(pattern, premultiply);
+                assert_eq!(loaded.num_states(), sfa.num_states());
+                assert_eq!(loaded.premultiplied(), sfa.premultiplied());
+                assert_eq!(loaded.repr(), sfa.repr());
+                // The same layout runs the same kernels.
+                assert_eq!(loaded.scan_kernel(), sfa.scan_kernel());
+                assert_eq!(loaded.preferred_lanes(), sfa.preferred_lanes());
+                let long = b"00550459ab".repeat(40);
+                let inputs = [&b""[..], b"ab", b"abab", b"abb", b"0055", b"aabbb", b"zzz", &long];
+                for input in inputs {
+                    let (fo, fl) = (sfa.run(input), loaded.run(input));
+                    assert_eq!(fo, fl, "{pattern} {input:?} premultiply={premultiply}");
+                    assert_eq!(fl, loaded.run_from_scalar(loaded.initial(), input));
+                    assert_eq!(loaded.is_accepting(fl), sfa.is_accepting(fo));
+                    assert_eq!(loaded.is_sink(fl), sfa.is_sink(fo));
+                    assert_eq!(loaded.accepts(input), dfa.accepts(input));
+                    assert_eq!(loaded.mapping(fl), sfa.mapping(fo));
+                    for q in 0..dfa.num_states() as StateId {
+                        assert_eq!(loaded.apply(fl, q), sfa.mapping(fo).apply(q));
+                    }
+                }
+                // Composition and state lookup go through the mapping
+                // index built from the loaded table.
+                let (a, b) = (loaded.run(b"ab"), loaded.run(b"ba"));
+                assert_eq!(loaded.compose_states(a, b), sfa.compose_states(a, b));
+                assert_eq!(loaded.state_of(&sfa.mapping(a)), Some(a));
+                // The batch path (lanes and kernels) agrees with one-by-one
+                // scans.
+                let jobs: Vec<(SfaStateId, &[u8])> =
+                    inputs.iter().cycle().take(11).map(|&i| (loaded.initial(), i)).collect();
+                let expected: Vec<SfaStateId> =
+                    jobs.iter().map(|&(s, i)| sfa.run_from(s, i)).collect();
+                assert_eq!(loaded.run_from_many(&jobs), expected);
+                assert_eq!(loaded.run_from_many_scalar(&jobs), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn from_parts_rejects_out_of_range_and_misshapen_tables() {
+        let dfa = minimal_dfa_from_pattern("(ab)*").unwrap();
+        let sfa = DSfa::from_dfa(&dfa, &SfaConfig::default()).unwrap();
+        let (buf, parts_of) = sections(&sfa);
+        let from = |bytes: Vec<u8>| DSfa::from_parts(parts_of(Arc::new(bytes)), &dfa);
+
+        // Pristine buffer loads.
+        assert!(from(buf.clone()).is_ok());
+
+        // An out-of-range state id in the class rows fails closed.
+        let mut bad = buf.clone();
+        bad[1] = 0xFF;
+        let err = from(bad).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+
+        // An out-of-range id in the byte table fails closed too.
+        let bt = parts_of(Arc::new(Vec::new())).byte_table.unwrap();
+        let mut bad = buf.clone();
+        bad[bt.end - 1] = 0xFF;
+        let err = from(bad).unwrap_err();
+        assert!(err.contains("byte-table entry"), "{err}");
+
+        // A truncated buffer fails the range check, not a panic.
+        let err = from(buf[..buf.len() - 1].to_vec()).unwrap_err();
+        assert!(err.contains("escapes"), "{err}");
+
+        // A corrupted identity row (state 0) is rejected.
+        let map_range = parts_of(Arc::new(Vec::new())).mappings;
+        let mut bad = buf.clone();
+        bad[map_range.start] = 1;
+        let err = from(bad).unwrap_err();
+        assert!(err.contains("identity"), "{err}");
+
+        // A mapping entry pointing at a nonexistent DFA state is rejected.
+        let mut bad = buf;
+        bad[map_range.start + 4] = 0xEE;
+        let err = from(bad).unwrap_err();
+        assert!(err.contains("mapping entry"), "{err}");
+    }
+
+    #[test]
+    fn loaded_bitmaps_match_the_built_automaton() {
+        let (_, sfa, loaded) = loaded("(a|b)*abb", true);
+        for s in 0..sfa.num_states() as SfaStateId {
+            assert_eq!(loaded.is_sink(s), sfa.is_sink(s), "sink {s}");
+            assert_eq!(loaded.is_accepting(s), sfa.is_accepting(s), "accepting {s}");
+            assert_eq!(loaded.accepting_patterns(s), sfa.accepting_patterns(s));
+        }
+        assert_eq!(loaded.table_bytes(), sfa.table_bytes());
+        assert_eq!(loaded.byte_table_bytes(), sfa.byte_table_bytes());
+        assert_eq!(loaded.mapping_bytes(), sfa.mapping_bytes());
+        assert_eq!(sfa.artifact_bytes(), None);
+        let whole = 1 + sfa.table_bytes() + sfa.byte_table_bytes() + sfa.mapping_bytes();
+        assert_eq!(loaded.artifact_bytes(), Some(whole));
     }
 
     #[test]

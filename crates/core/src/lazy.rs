@@ -433,7 +433,7 @@ mod tests {
         assert_eq!(lazy.num_states_constructed(), eager.num_states());
         for s in 0..eager.num_states() as SfaStateId {
             // Same mapping set; ids may differ, so compare via the index.
-            assert!(lazy.state_of(eager.mapping(s)).is_some());
+            assert!(lazy.state_of(&eager.mapping(s)).is_some());
         }
     }
 

@@ -17,11 +17,12 @@
 //! * [`mapping::Transformation`] / [`mapping::Correspondence`] — the state
 //!   mappings and their associative composition (`⋄`),
 //! * [`DSfa`] — the SFA built from a DFA via the correspondence
-//!   construction (Algorithm 4), plus [`LazyDSfa`] for on-the-fly
-//!   construction (Section V-A),
+//!   construction (Algorithm 4), its tables stored as packed little-endian
+//!   ids in one shared buffer — an owned one, or a loaded artifact's
+//!   sections read in place ([`DSfa::from_parts`]) — plus [`LazyDSfa`] for
+//!   on-the-fly construction (Section V-A),
 //! * [`SfaBackend`] — the pluggable-backend abstraction the matcher layer
-//!   runs on: eager, lazy or borrowed-from-an-artifact behind one surface
-//!   (see [`borrowed::LoadedSfa`]),
+//!   runs on: eager or lazy behind one surface,
 //! * [`NSfa`] — the SFA built directly from an NFA,
 //! * [`stats`] — the size reports behind Figure 3 of the paper.
 //!
@@ -32,6 +33,10 @@
 //! | `max_states` | enforced: construction fails with `TooManyStates` | **ignored** — the cache is bounded by the states actually visited (≤ one per input byte) | enforced |
 //! | `premultiply` | builds the dense 256-column byte table (≤ 64 MiB packed) | **ignored** — states may never materialize, so no dense table | ignored (states are correspondences, not table rows) |
 //! | `repr` | overrides the packed state-id width (never narrower than `\|S_d\|` requires) | **ignored** — the cache grows while matchers hold ids, so it stays `u32` (see [`LazyDSfa`]) | ignored (states are correspondences, not table rows) |
+//!
+//! A [`DSfa`] loaded from an artifact ([`DSfa::from_parts`]) takes no
+//! config: it keeps the state count, byte table and id width it was built
+//! with.
 //!
 //! ## Example
 //!
@@ -55,7 +60,6 @@
 #![cfg_attr(feature = "simd", deny(unsafe_code))]
 
 pub mod backend;
-pub mod borrowed;
 pub mod dsfa;
 pub mod lazy;
 pub mod mapping;
@@ -65,8 +69,7 @@ pub(crate) mod simd;
 pub mod stats;
 
 pub use backend::{BackendKind, SfaBackend};
-pub use borrowed::{ArtifactBytes, LoadedSfa, LoadedSfaParts};
-pub use dsfa::{DSfa, SfaStateId, StateIdRepr};
+pub use dsfa::{ArtifactBytes, DSfa, DSfaParts, SfaStateId, StateIdRepr};
 pub use lazy::LazyDSfa;
 pub use mapping::{Correspondence, Transformation};
 pub use nsfa::NSfa;
@@ -189,7 +192,7 @@ mod proptests {
             let f1 = sfa.run(w1);
             let f2 = sfa.run(w2);
             let whole = sfa.run(bytes);
-            prop_assert_eq!(&sfa.compose(f1, f2), sfa.mapping(whole));
+            prop_assert_eq!(sfa.compose(f1, f2), sfa.mapping(whole));
             // The composed mapping decides acceptance identically to the
             // sequential DFA run.
             let accept_via_composition =

@@ -24,7 +24,7 @@
 //! always reads a 4-byte dword per lane; the automaton's own tables are
 //! never touched, so size reports stay exact.
 
-use crate::dsfa::{PackedIds, SfaStateId};
+use crate::dsfa::{SfaStateId, StateIdRepr};
 
 /// Lanes advanced per gather iteration (one AVX2 register of `i32` ids).
 pub(crate) const GATHER_LANES: usize = 8;
@@ -52,37 +52,47 @@ pub(crate) enum SimdKernels {
 /// on this CPU: `"shuffle"`, `"gather"` or `"scalar"`. Pure
 /// classification — no tables are copied — so size reporting can name the
 /// kernel without paying for it.
-pub(crate) fn kernel_name(byte_table: &Option<PackedIds>, num_states: usize) -> &'static str {
+pub(crate) fn kernel_name(
+    premultiplied: bool,
+    repr: StateIdRepr,
+    num_states: usize,
+) -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
-        match byte_table {
-            Some(PackedIds::U8(_))
-                if num_states <= SHUFFLE_MAX_STATES
-                    && std::arch::is_x86_feature_detected!("ssse3") =>
-            {
-                "shuffle"
-            }
-            Some(_) if std::arch::is_x86_feature_detected!("avx2") => "gather",
-            _ => "scalar",
+        if !premultiplied {
+            "scalar"
+        } else if repr == StateIdRepr::U8
+            && num_states <= SHUFFLE_MAX_STATES
+            && std::arch::is_x86_feature_detected!("ssse3")
+        {
+            "shuffle"
+        } else if std::arch::is_x86_feature_detected!("avx2") {
+            "gather"
+        } else {
+            "scalar"
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (byte_table, num_states);
+        let _ = (premultiplied, repr, num_states);
         "scalar"
     }
 }
 
 impl SimdKernels {
-    /// Builds the kernel [`kernel_name`] names, or `None` when only the
-    /// scalar loops apply (no premultiplied table, unsupported CPU, or a
-    /// non-x86_64 target).
-    pub(crate) fn build(byte_table: &Option<PackedIds>, num_states: usize) -> Option<SimdKernels> {
-        match (byte_table, kernel_name(byte_table, num_states)) {
-            (Some(PackedIds::U8(t)), "shuffle") => {
-                Some(SimdKernels::Shuffle(ShuffleKernel::build(t, num_states)))
-            }
-            (Some(bt), "gather") => Some(SimdKernels::Gather(GatherKernel::build(bt))),
+    /// Builds the kernel [`kernel_name`] names for the premultiplied
+    /// table `byte_table` (little-endian ids at `repr` width), or `None`
+    /// when only the scalar loops apply (no premultiplied table,
+    /// unsupported CPU, or a non-x86_64 target).
+    pub(crate) fn build(
+        byte_table: Option<&[u8]>,
+        repr: StateIdRepr,
+        num_states: usize,
+    ) -> Option<SimdKernels> {
+        let table = byte_table?;
+        match kernel_name(true, repr, num_states) {
+            "shuffle" => Some(SimdKernels::Shuffle(ShuffleKernel::build(table, num_states))),
+            "gather" => Some(SimdKernels::Gather(GatherKernel::build(table, repr))),
             _ => None,
         }
     }
@@ -175,30 +185,21 @@ impl ShuffleKernel {
 /// width gathers straight from the automaton's own table, whose last
 /// entry already spans a full dword.
 #[derive(Clone, Debug)]
-pub(crate) enum GatherKernel {
-    /// Padded copy of a `u8` table (`+3` zero bytes).
-    U8(Box<[u8]>),
-    /// Padded copy of a `u16` table (`+1` zero element).
-    U16(Box<[u16]>),
-    /// No copy: gathers from the `u32` table passed at call time.
-    U32,
+pub(crate) struct GatherKernel {
+    repr: StateIdRepr,
+    /// The padded copy of a `u8`/`u16` table; `None` for `u32`, which
+    /// gathers from the table passed at call time.
+    padded: Option<Box<[u8]>>,
 }
 
 impl GatherKernel {
-    fn build(byte_table: &PackedIds) -> GatherKernel {
-        match byte_table {
-            PackedIds::U8(t) => {
-                let mut padded = t.to_vec();
-                padded.extend_from_slice(&[0; 3]);
-                GatherKernel::U8(padded.into_boxed_slice())
-            }
-            PackedIds::U16(t) => {
-                let mut padded = t.to_vec();
-                padded.push(0);
-                GatherKernel::U16(padded.into_boxed_slice())
-            }
-            PackedIds::U32(_) => GatherKernel::U32,
-        }
+    fn build(byte_table: &[u8], repr: StateIdRepr) -> GatherKernel {
+        let padded = (repr != StateIdRepr::U32).then(|| {
+            let mut padded = byte_table.to_vec();
+            padded.extend_from_slice(&[0; 3]);
+            padded.into_boxed_slice()
+        });
+        GatherKernel { repr, padded }
     }
 
     /// Advances all [`GATHER_LANES`] lanes over the first `common` bytes
@@ -208,7 +209,7 @@ impl GatherKernel {
     /// this kernel was built from.
     pub(crate) fn run_lanes(
         &self,
-        byte_table: &PackedIds,
+        byte_table: &[u8],
         sink: &[bool],
         f: &mut [SfaStateId; GATHER_LANES],
         inputs: &[&[u8]; GATHER_LANES],
@@ -216,20 +217,16 @@ impl GatherKernel {
     ) {
         #[cfg(target_arch = "x86_64")]
         {
+            let table = self.padded.as_deref().unwrap_or(byte_table);
             // SAFETY: the kernel is only built after
             // `is_x86_feature_detected!` confirmed AVX2, and the table
             // padding invariants are established in `build`.
             #[allow(unsafe_code)]
             unsafe {
-                match (self, byte_table) {
-                    (GatherKernel::U8(t), _) => gather_u8(t, sink, f, inputs, common),
-                    (GatherKernel::U16(t), _) => gather_u16(t, sink, f, inputs, common),
-                    (GatherKernel::U32, PackedIds::U32(t)) => {
-                        gather_u32(t, sink, f, inputs, common)
-                    }
-                    (GatherKernel::U32, _) => {
-                        unreachable!("u32 gather kernel is built for a u32 table")
-                    }
+                match self.repr {
+                    StateIdRepr::U8 => gather_u8(table, sink, f, inputs, common),
+                    StateIdRepr::U16 => gather_u16(table, sink, f, inputs, common),
+                    StateIdRepr::U32 => gather_u32(table, sink, f, inputs, common),
                 }
             }
         }
@@ -247,16 +244,16 @@ impl GatherKernel {
 /// folds away).
 #[cfg(target_arch = "x86_64")]
 macro_rules! gather_impl {
-    ($name:ident, $elem:ty, $scale:literal, $mask:literal) => {
+    ($name:ident, $scale:literal, $mask:literal) => {
         /// # Safety
         /// Caller detected AVX2 at runtime. Every gathered index is
         /// `state * 256 + byte` with `state` a valid id, so with the
         /// padding established in [`GatherKernel::build`] each dword read
-        /// stays inside `table`.
+        /// at `index * $scale` stays inside `table`.
         #[target_feature(enable = "avx2")]
         #[allow(unsafe_code)]
         unsafe fn $name(
-            table: &[$elem],
+            table: &[u8],
             sink: &[bool],
             f: &mut [SfaStateId; GATHER_LANES],
             inputs: &[&[u8]; GATHER_LANES],
@@ -311,8 +308,8 @@ macro_rules! gather_impl {
 }
 
 #[cfg(target_arch = "x86_64")]
-gather_impl!(gather_u8, u8, 1, 0xFF);
+gather_impl!(gather_u8, 1, 0xFF);
 #[cfg(target_arch = "x86_64")]
-gather_impl!(gather_u16, u16, 2, 0xFFFF);
+gather_impl!(gather_u16, 2, 0xFFFF);
 #[cfg(target_arch = "x86_64")]
-gather_impl!(gather_u32, u32, 4, 0);
+gather_impl!(gather_u32, 4, 0);

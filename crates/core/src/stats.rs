@@ -143,7 +143,7 @@ impl SizeReport {
             backend.byte_table_bytes(),
             backend.scan_kernel(),
         );
-        report.artifact_bytes = backend.borrowed().map(|sfa| sfa.artifact_bytes());
+        report.artifact_bytes = backend.eager().and_then(DSfa::artifact_bytes);
         report
     }
 
@@ -196,12 +196,7 @@ impl SizeReport {
     pub fn combine(reports: &[SizeReport]) -> SizeReport {
         let backend = if reports.iter().any(|r| r.backend == BackendKind::Lazy) {
             BackendKind::Lazy
-        } else if !reports.is_empty() && reports.iter().all(|r| r.backend == BackendKind::Borrowed)
-        {
-            BackendKind::Borrowed
         } else {
-            // All shards fully materialized (eager, or eager mixed with
-            // borrowed): the aggregate behaves eagerly.
             BackendKind::Eager
         };
         let dfa_states: usize = reports.iter().map(|r| r.dfa_states).sum();
@@ -704,55 +699,39 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_backend_reports_kind_and_artifact_footprint() {
-        use crate::borrowed::{LoadedSfa, LoadedSfaParts};
-        use crate::{SfaStateId, StateIdRepr};
-        use std::sync::Arc;
+    fn loaded_backend_reports_artifact_footprint() {
+        use crate::DSfaParts;
         let dfa = minimal_dfa_from_pattern("(ab)*").unwrap();
         let sfa = DSfa::from_dfa(&dfa, &SfaConfig { premultiply: false, ..SfaConfig::default() })
             .unwrap();
-        // Flatten the tables the way an artifact stores them.
-        let (n, d, stride, w) =
-            (sfa.num_states(), dfa.num_states(), sfa.num_classes(), sfa.repr().bytes());
-        let mut buf = Vec::new();
-        for s in 0..n as SfaStateId {
-            for c in 0..stride {
-                buf.extend_from_slice(&sfa.next_by_class(s, c as u16).to_le_bytes()[..w]);
-            }
-        }
-        let table = 0..buf.len();
-        let map_start = buf.len();
-        for s in 0..n as SfaStateId {
-            for q in 0..d as u32 {
-                buf.extend_from_slice(&sfa.mapping(s).apply(q).to_le_bytes());
-            }
-        }
-        let mappings = map_start..buf.len();
+        assert_eq!(sfa.artifact_bytes(), None);
+        // The tables behind a 40-byte stand-in header, the way an
+        // artifact stores them.
+        let mut buf = vec![0u8; 40];
+        buf.extend_from_slice(sfa.table_section());
+        let table = 40..buf.len();
+        buf.extend_from_slice(sfa.mapping_section());
+        let mappings = table.end..buf.len();
         let artifact_len = buf.len();
-        let parts = LoadedSfaParts {
-            data: Arc::new(buf),
-            repr: StateIdRepr::U8,
-            num_states: n,
+        let parts = DSfaParts {
+            data: std::sync::Arc::new(buf),
+            repr: sfa.repr(),
+            num_states: sfa.num_states(),
             table,
             byte_table: None,
             mappings,
         };
-        let loaded = LoadedSfa::new(parts, &dfa).unwrap();
-        let backend = SfaBackend::from(loaded);
-        assert_eq!(backend.kind(), BackendKind::Borrowed);
-        assert_eq!(BackendKind::parse("Borrowed"), Some(BackendKind::Borrowed));
+        let backend = SfaBackend::from(DSfa::from_parts(parts, &dfa).unwrap());
+        assert_eq!(backend.kind(), BackendKind::Eager);
         let r = SizeReport::of_backend(&dfa, &backend);
-        assert_eq!(r.backend, BackendKind::Borrowed);
+        assert_eq!(r.backend, BackendKind::Eager);
         assert_eq!(r.artifact_bytes, Some(artifact_len));
         assert_eq!(r.sfa_states, sfa.num_states());
-        assert_eq!(r.scan_kernel, "scalar");
-        // Round-trips through JSON with the Borrowed kind intact.
+        assert_eq!(r.scan_kernel, sfa.scan_kernel());
         let back = SizeReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.backend, BackendKind::Borrowed);
         assert_eq!(back.artifact_bytes, Some(artifact_len));
-        // combine(): all-borrowed stays borrowed, eager+borrowed reports
-        // eager, any lazy shard wins.
-        assert_eq!(SizeReport::combine(&[r.clone(), r.clone()]).backend, BackendKind::Borrowed);
+        // combine(): a loaded shard with a built one stays eager, any lazy
+        // shard wins.
         let eager = report("(ab)*");
         assert_eq!(SizeReport::combine(&[r.clone(), eager]).backend, BackendKind::Eager);
         let mut lazy = report("(ab)*");

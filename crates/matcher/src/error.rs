@@ -67,8 +67,8 @@ pub enum Error {
         tenant: String,
     },
     /// An artifact can only be encoded from an **eager** D-SFA backend;
-    /// this regex runs on a lazy or borrowed backend, which has no
-    /// complete table set to serialize. Recompile with
+    /// this regex runs on the lazy backend, which has no complete table
+    /// set to serialize. Recompile with
     /// [`BackendChoice::Eager`](crate::BackendChoice) to produce an
     /// artifact.
     ArtifactRequiresEagerBackend,
@@ -97,8 +97,8 @@ impl fmt::Display for Error {
             }
             Error::ArtifactRequiresEagerBackend => write!(
                 f,
-                "artifacts serialize the eager D-SFA tables: this regex runs on a lazy or \
-                 borrowed backend; recompile with BackendChoice::Eager to encode an artifact"
+                "artifacts serialize the eager D-SFA tables: this regex runs on the lazy \
+                 backend; recompile with BackendChoice::Eager to encode an artifact"
             ),
         }
     }

@@ -127,7 +127,6 @@
 
 pub mod chunk;
 pub mod error;
-pub mod executor;
 pub mod matches;
 pub mod parallel;
 pub mod pool;
@@ -143,7 +142,6 @@ pub use chunk::{
     split_chunks_with_offsets,
 };
 pub use error::Error;
-pub use executor::{map_chunks, tree_reduce};
 pub use matches::SetMatches;
 pub use parallel::{ParallelNSfaMatcher, ParallelSfaMatcher};
 pub use pool::{ChunkPlan, Engine, WorkerPool, MIN_POOL_CHUNK_BYTES};
@@ -175,11 +173,6 @@ pub enum Reduction {
 
 #[cfg(test)]
 mod proptests {
-    // The deprecated wrappers stay under property coverage until removal:
-    // they are one-line shims over the `Strategy` core, and these suites
-    // prove shim and core agree on every generated case.
-    #![allow(deprecated)]
-
     use super::*;
     // `proptest::prelude::Strategy` (the generator trait) shadows our
     // execution-strategy enum inside this module; alias ours.
@@ -357,14 +350,14 @@ mod proptests {
             }
             haystack.extend_from_slice(suffix.as_bytes());
 
-            let expected = re.is_match_sequential(&haystack);
+            let expected = re.is_match_with(&haystack, Exec::Sequential);
             if plant {
                 // The needle is literally present, so Contains must hit.
                 prop_assert!(expected);
             }
             for reduction in [Reduction::Sequential, Reduction::Tree] {
-                prop_assert_eq!(re.is_match_parallel(&haystack, threads, reduction), expected);
-                prop_assert_eq!(re.is_match_speculative(&haystack, threads, reduction), expected);
+                prop_assert_eq!(re.is_match_with(&haystack, Exec::Parallel { threads, reduction }), expected);
+                prop_assert_eq!(re.is_match_with(&haystack, Exec::Speculative { threads, reduction }), expected);
             }
 
             // Streaming: cut at every boundary through the needle's
@@ -476,12 +469,12 @@ mod proptests {
 
             for input in &inputs {
                 let bytes = input.as_bytes();
-                let expected = eager.is_match_sequential(bytes);
-                prop_assert_eq!(lazy.is_match_sequential(bytes), expected);
+                let expected = eager.is_match_with(bytes, Exec::Sequential);
+                prop_assert_eq!(lazy.is_match_with(bytes, Exec::Sequential), expected);
                 for reduction in [Reduction::Sequential, Reduction::Tree] {
-                    prop_assert_eq!(eager.is_match_parallel(bytes, threads, reduction), expected);
-                    prop_assert_eq!(lazy.is_match_parallel(bytes, threads, reduction), expected);
-                    prop_assert_eq!(lazy.is_match_speculative(bytes, threads, reduction), expected);
+                    prop_assert_eq!(eager.is_match_with(bytes, Exec::Parallel { threads, reduction }), expected);
+                    prop_assert_eq!(lazy.is_match_with(bytes, Exec::Parallel { threads, reduction }), expected);
+                    prop_assert_eq!(lazy.is_match_with(bytes, Exec::Speculative { threads, reduction }), expected);
                 }
                 // Streaming: one arbitrary cut, then byte-at-a-time.
                 let cut = cut.index(bytes.len() + 1).min(bytes.len());

@@ -481,8 +481,8 @@ impl Regex {
     ///
     /// Only eager backends serialize
     /// ([`Error::ArtifactRequiresEagerBackend`] otherwise): a lazy
-    /// backend has no complete table set, and a borrowed backend already
-    /// *is* an artifact.
+    /// backend has no complete table set. A regex loaded from an artifact
+    /// is eager and re-encodes to the very bytes it was loaded from.
     ///
     /// ```
     /// use sfa_matcher::Regex;
@@ -499,7 +499,9 @@ impl Regex {
             return Err(Error::ArtifactRequiresEagerBackend);
         };
         let maps = self.decided_maps();
-        let summary = self.convergence_report().summary();
+        // A loaded regex re-encodes the summary it was loaded with.
+        let summary =
+            self.convergence_summary.clone().unwrap_or_else(|| self.convergence_report().summary());
         Ok(sfa_serialize::ArtifactSource {
             pattern: &self.pattern,
             mode: match self.mode {
@@ -518,12 +520,16 @@ impl Regex {
     }
 
     /// Reconstructs a regex from an artifact buffer **zero-copy**: the
-    /// big transition tables are borrowed from `data` (the
-    /// [`BackendKind::Borrowed`](sfa_core::BackendKind) backend), not
-    /// rebuilt and not copied, so cold start is a validation pass instead
-    /// of a compile. Corrupt or version-skewed artifacts fail closed with
-    /// the typed [`Error::ArtifactCorrupt`] /
-    /// [`Error::ArtifactVersionMismatch`] variants.
+    /// artifact's SFA sections are already the eager [`DSfa`]'s storage
+    /// layout, so the automaton reads its big transition tables in place
+    /// from `data` — not rebuilt and not copied — and cold start is a
+    /// validation pass instead of a compile. The result is an ordinary
+    /// eager backend: every scan kernel, lane count and sequential fast
+    /// path of the compiled regex applies, and
+    /// [`to_artifact`](Regex::to_artifact) re-encodes it. Corrupt or
+    /// version-skewed artifacts fail closed with the typed
+    /// [`Error::ArtifactCorrupt`] / [`Error::ArtifactVersionMismatch`]
+    /// variants.
     ///
     /// The loaded regex answers with the exact verdicts of the regex that
     /// encoded the artifact. Runtime knobs (threads, engine, reduction)
@@ -563,7 +569,7 @@ impl Regex {
             engine: None,
             nfa_states: loaded.nfa_states as usize,
             dfa: loaded.dfa,
-            backend: SfaBackend::Borrowed(loaded.sfa),
+            backend: SfaBackend::Eager(loaded.sfa),
             collapsed_patterns: loaded.collapsed,
             decided,
             convergence: std::sync::OnceLock::new(),
@@ -699,7 +705,7 @@ impl Regex {
     fn run_sequential(&self, input: &[u8]) -> StateId {
         if let SfaBackend::Eager(sfa) = &self.backend {
             if sfa.premultiplied() && sfa.byte_table_bytes() <= Self::SEQ_BYTE_TABLE_MAX_BYTES {
-                return sfa.mapping(sfa.run(input)).apply(self.dfa.start());
+                return sfa.apply(sfa.run(input), self.dfa.start());
             }
         }
         self.dfa.run(input)
@@ -792,35 +798,6 @@ impl Regex {
             let (any, set) = self.dfa.verdict_and_accept_set_decided_states();
             DecidedMaps { any, set }
         })
-    }
-
-    /// **Algorithm 2**: sequential DFA matching.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `is_match_with(input, Strategy::Sequential)` (or `run`) instead"
-    )]
-    pub fn is_match_sequential(&self, input: &[u8]) -> bool {
-        self.is_match_with(input, Strategy::Sequential)
-    }
-
-    /// **Algorithm 5**: parallel SFA matching with an explicit parallelism
-    /// degree and reduction strategy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `is_match_with(input, Strategy::Parallel { threads, reduction })` instead"
-    )]
-    pub fn is_match_parallel(&self, input: &[u8], threads: usize, reduction: Reduction) -> bool {
-        self.is_match_with(input, Strategy::Parallel { threads, reduction })
-    }
-
-    /// **Algorithm 3**: the prior-art speculative parallel DFA matcher
-    /// (kept as a baseline).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `is_match_with(input, Strategy::Speculative { threads, reduction })` instead"
-    )]
-    pub fn is_match_speculative(&self, input: &[u8], threads: usize, reduction: Reduction) -> bool {
-        self.is_match_with(input, Strategy::Speculative { threads, reduction })
     }
 
     /// Matches many haystacks as **one** pool batch, returning one verdict
@@ -1248,11 +1225,6 @@ impl RegexSet {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `is_match_*` wrappers are exercised on purpose: they
-    // must keep returning exactly what the `Strategy`-based core returns
-    // until they are removed.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::strategy::Strategy;
 
@@ -1261,7 +1233,7 @@ mod tests {
         let re = Regex::new("(ab)*").unwrap();
         assert!(re.is_match(b"abab"));
         assert!(!re.is_match(b"aba"));
-        assert!(re.is_match_sequential(b""));
+        assert!(re.is_match_with(b"", Strategy::Sequential));
         assert_eq!(re.pattern(), "(ab)*");
         assert_eq!(re.mode(), MatchMode::Whole);
         assert!(re.nfa_states() > 0);
@@ -1273,11 +1245,17 @@ mod tests {
         let re = Regex::new("([0-4]{3}[5-9]{3})*").unwrap();
         let inputs: Vec<&[u8]> = vec![b"", b"000555", b"000555111666", b"00055", b"555000"];
         for input in inputs {
-            let expected = re.is_match_sequential(input);
+            let expected = re.is_match_with(input, Strategy::Sequential);
             for threads in [1, 2, 4] {
                 for reduction in [Reduction::Sequential, Reduction::Tree] {
-                    assert_eq!(re.is_match_parallel(input, threads, reduction), expected);
-                    assert_eq!(re.is_match_speculative(input, threads, reduction), expected);
+                    assert_eq!(
+                        re.is_match_with(input, Strategy::Parallel { threads, reduction }),
+                        expected
+                    );
+                    assert_eq!(
+                        re.is_match_with(input, Strategy::Speculative { threads, reduction }),
+                        expected
+                    );
                 }
             }
         }
@@ -1293,7 +1271,10 @@ mod tests {
         // Parallel contains matching agrees with sequential.
         let text = b"xxxxxxxxxxxxxxxxattack77yyyyyyyyyyyyyyyy";
         for threads in [2, 4, 8] {
-            assert!(re.is_match_parallel(text, threads, Reduction::Sequential));
+            assert!(re.is_match_with(
+                text,
+                Strategy::Parallel { threads, reduction: Reduction::Sequential }
+            ));
         }
     }
 
@@ -1331,8 +1312,8 @@ mod tests {
             for threads in [1, 4] {
                 for reduction in [Reduction::Sequential, Reduction::Tree] {
                     assert_eq!(
-                        eager.is_match_parallel(input, threads, reduction),
-                        lazy.is_match_parallel(input, threads, reduction)
+                        eager.is_match_with(input, Strategy::Parallel { threads, reduction }),
+                        lazy.is_match_with(input, Strategy::Parallel { threads, reduction })
                     );
                 }
             }
@@ -1354,7 +1335,10 @@ mod tests {
         assert_eq!(auto.backend_kind(), sfa_core::BackendKind::Lazy);
         assert!(auto.is_match(b"000555"));
         assert!(!auto.is_match(b"00055"));
-        assert!(auto.is_match_parallel(&b"000555111666".repeat(64), 4, Reduction::Tree));
+        assert!(auto.is_match_with(
+            &b"000555111666".repeat(64),
+            Strategy::Parallel { threads: 4, reduction: Reduction::Tree }
+        ));
         // The lazy cache may exceed the *eager* cap — that cap is about
         // up-front construction, not about visited states.
         let report = auto.size_report();
@@ -1454,10 +1438,7 @@ mod tests {
                     );
                 }
             }
-            // The deprecated wrappers are views of the same core.
-            assert_eq!(re.is_match_sequential(input), re.dfa().is_accepting(expected));
-            assert_eq!(re.is_match_parallel(input, 3, Reduction::Tree), re.is_match(input));
-            assert_eq!(re.is_match_speculative(input, 3, Reduction::Tree), re.is_match(input));
+            assert_eq!(re.is_match(input), re.dfa().is_accepting(expected));
         }
     }
 
@@ -1721,8 +1702,12 @@ mod tests {
         let re = Regex::builder().threads(0).build("(ab)*").unwrap();
         assert!(re.is_match(b"abab"));
         assert!(!re.is_match(b"aba"));
-        assert!(re.is_match_parallel(b"abab", 0, Reduction::Tree));
-        assert!(re.is_match_speculative(b"abab", 0, Reduction::Sequential));
+        assert!(re
+            .is_match_with(b"abab", Strategy::Parallel { threads: 0, reduction: Reduction::Tree }));
+        assert!(re.is_match_with(
+            b"abab",
+            Strategy::Speculative { threads: 0, reduction: Reduction::Sequential }
+        ));
         // split_chunks applies the same clamp…
         assert_eq!(crate::split_chunks(b"xyz", 0), crate::split_chunks(b"xyz", 1));
         // …and so do the pool and the chunk planner.
@@ -1744,7 +1729,10 @@ mod tests {
         let text = b"00550459".repeat(8 * 1024); // 64 KiB → pool path
         assert!(re.engine().plan_chunks(text.len(), 3).use_pool);
         assert!(re.is_match(&text));
-        assert!(re.is_match_parallel(&text, 3, Reduction::Sequential));
+        assert!(re.is_match_with(
+            &text,
+            Strategy::Parallel { threads: 3, reduction: Reduction::Sequential }
+        ));
         // Default-engine regexes report the shared global pool.
         let plain = Regex::new("(ab)*").unwrap();
         assert_eq!(plain.engine().workers(), Engine::global().workers());

@@ -426,8 +426,8 @@ impl ShardedSet {
     /// haystack starts at the DFA start state, so by Lemma 1 the SFA
     /// (built for chunks whose start state is unknown) adds nothing here:
     /// its end state's mapping applied to `q0` *is* the DFA run. Scanning
-    /// the DFA also keeps one code path for eager, lazy and borrowed
-    /// shards, and leaves a lazy shard's state cache untouched by batch
+    /// the DFA also keeps one code path for eager, lazy and
+    /// artifact-loaded shards, and leaves a lazy shard's state cache untouched by batch
     /// traffic.
     ///
     /// [`MIN_POOL_CHUNK_BYTES`]: crate::pool::MIN_POOL_CHUNK_BYTES
@@ -691,9 +691,6 @@ mod tests {
             match shard.regex().backend_kind() {
                 BackendKind::Eager => assert!(shard.repr().bytes() <= 2, "{:?}", shard.members()),
                 BackendKind::Lazy => assert_eq!(shard.repr(), StateIdRepr::U32),
-                BackendKind::Borrowed => {
-                    unreachable!("fresh compiles never produce borrowed backends")
-                }
             }
         }
         let widest = sharded.shards().iter().map(|s| s.repr().bytes()).max().unwrap();

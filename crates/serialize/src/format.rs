@@ -10,20 +10,21 @@
 //!          byte-class map (256 × u16)
 //!          DFA: transition table (u32), accept index, accept sets
 //!          decided-state bitmaps (verdict + accept-set, one bit per state)
-//!          SFA class rows        (packed width — borrowed on load)
-//!          SFA byte table        (packed width — borrowed, if premultiplied)
-//!          SFA state mappings    (u32 — borrowed on load)
+//!          SFA class rows        (packed width — read in place on load)
+//!          SFA byte table        (packed width — read in place, if premultiplied)
+//!          SFA state mappings    (u32 — read in place on load)
 //!          convergence summary   (optional)
 //! ```
 //!
-//! Every section starts 8-byte aligned so the zero-copy loader can hand
-//! table ranges straight to [`sfa_core::LoadedSfa`]. All integers are
-//! little-endian. The checksum covers everything after the header, so a
+//! Every section starts 8-byte aligned. The three SFA sections are the
+//! [`DSfa`]'s own storage layout: the encoder copies them verbatim, and
+//! the zero-copy loader hands their ranges straight to
+//! [`DSfa::from_parts`]. All integers are little-endian. The checksum covers everything after the header, so a
 //! bit flip anywhere in the tables is caught before parsing begins.
 
 use sfa_analysis::ConvergenceSummary;
 use sfa_automata::Dfa;
-use sfa_core::{DSfa, SfaStateId, StateIdRepr};
+use sfa_core::{DSfa, StateIdRepr};
 use std::io::{self, Write};
 
 /// The 8-byte magic opening every artifact.
@@ -187,7 +188,6 @@ impl ArtifactSource<'_> {
         let d = dfa.num_states();
         let stride = dfa.num_classes();
         let n = sfa.num_states();
-        let w = sfa.repr().bytes();
         debug_assert_eq!(self.decided_verdict.len(), d);
         debug_assert_eq!(self.decided_accept.len(), d);
 
@@ -238,39 +238,24 @@ impl ArtifactSource<'_> {
         put_bitmap(&mut out, self.decided_accept);
         align8(&mut out);
 
-        // SFA class rows at the packed width (borrowed on load).
-        let put_id = |out: &mut Vec<u8>, id: SfaStateId| {
-            out.extend_from_slice(&id.to_le_bytes()[..w]);
-        };
-        for s in 0..n as SfaStateId {
-            for c in 0..stride {
-                put_id(&mut out, sfa.next_by_class(s, c as u16));
-            }
-        }
+        // SFA tables: the automaton already stores them in the artifact's
+        // section layout, so they are copied verbatim. Their sizes (and the
+        // summary's) are known, so the rest of the payload is reserved at
+        // once instead of doubling a table-sized buffer.
+        let summary = self.convergence.map(ConvergenceSummary::to_bytes);
+        let sections = sfa.table_bytes() + sfa.byte_table_bytes() + sfa.mapping_bytes();
+        out.reserve_exact(sections + summary.as_ref().map_or(0, |b| 4 + b.len()) + 4 * 7);
+        out.extend_from_slice(sfa.table_section());
         align8(&mut out);
-
-        // Premultiplied byte table (borrowed on load).
-        if sfa.premultiplied() {
-            for s in 0..n as SfaStateId {
-                for b in 0..=255u8 {
-                    put_id(&mut out, sfa.next_state(s, b));
-                }
-            }
+        if let Some(byte_table) = sfa.byte_table_section() {
+            out.extend_from_slice(byte_table);
             align8(&mut out);
         }
-
-        // State mappings: |S| × |D| u32 DFA ids (borrowed on load).
-        for s in 0..n as SfaStateId {
-            let mapping = sfa.mapping(s);
-            for q in 0..d as u32 {
-                put_u32(&mut out, mapping.apply(q));
-            }
-        }
+        out.extend_from_slice(sfa.mapping_section());
         align8(&mut out);
 
         // Convergence summary.
-        if let Some(summary) = self.convergence {
-            let bytes = summary.to_bytes();
+        if let Some(bytes) = summary {
             put_u32(&mut out, bytes.len() as u32);
             out.extend_from_slice(&bytes);
             align8(&mut out);

@@ -5,12 +5,12 @@
 //! `Q → Q` mappings. This crate makes that cost a *build-time* cost: a
 //! compiled automaton is serialized once into a versioned, checksummed,
 //! alignment-padded binary artifact ([`ArtifactSource`]), and loaded back
-//! with a **zero-copy** reader ([`load`]) that borrows the big transition
-//! tables straight out of the artifact buffer — typically an
-//! [`ArtifactFile`] memory mapping — instead of rebuilding or even
-//! copying them. The loaded automaton plugs into
-//! [`SfaBackend::Borrowed`](sfa_core::SfaBackend) and matches with the
-//! same verdicts as the original.
+//! with a **zero-copy** reader ([`load`]). The artifact's SFA sections
+//! are the [`DSfa`](sfa_core::DSfa)'s own storage layout, so the loaded
+//! automaton is an ordinary `DSfa` reading its tables in place from the
+//! artifact buffer — typically an [`ArtifactFile`] memory mapping —
+//! instead of rebuilding or even copying them. It runs every scan kernel
+//! a freshly built one does, with the same verdicts.
 //!
 //! Corrupt input is a first-class case, not a panic: every load
 //! re-validates the structural invariants of both automata and fails
@@ -195,7 +195,7 @@ mod tests {
         let file = ArtifactFile::open(&path).unwrap();
         assert_eq!(file.as_ref(), &bytes[..]);
         let loaded = load_file(&path).unwrap();
-        assert_eq!(loaded.sfa.artifact_bytes(), bytes.len());
+        assert_eq!(loaded.sfa.artifact_bytes(), Some(bytes.len()));
         assert_eq!(
             loaded.sfa.table_bytes() + loaded.sfa.byte_table_bytes(),
             sfa.table_bytes() + sfa.byte_table_bytes()
@@ -323,7 +323,7 @@ mod proptests {
 
         /// Encode → load round trip is verdict-exact: for random minimized
         /// DFAs across every state-id width and both byte-table modes, the
-        /// borrowed automaton agrees with the in-memory original on final
+        /// loaded automaton agrees with the in-memory original on final
         /// states, verdicts, and chunk composition.
         #[test]
         fn round_trip_is_verdict_exact(
@@ -360,7 +360,7 @@ mod proptests {
                     sfa.accepting_patterns(own).patterns(),
                     loaded.sfa.accepting_patterns(brw).patterns()
                 );
-                // Theorem 3 on the borrowed backend: split, scan halves,
+                // Theorem 3 on the loaded automaton: split, scan halves,
                 // compose — same verdict as the sequential run.
                 let cut = bytes.len() / 2;
                 let f1 = loaded.sfa.run(&bytes[..cut]);

@@ -4,15 +4,17 @@
 //! version-checked, the payload checksum is verified before any field is
 //! interpreted, every section read is range-checked against the buffer,
 //! and the reconstructed automata re-validate their structural invariants
-//! ([`Dfa::validate`] for the DFA, [`LoadedSfa::new`]'s table bounds
+//! ([`Dfa::validate`] for the DFA, [`DSfa::from_parts`]'s table bounds
 //! checks for the SFA) before a [`LoadedArtifact`] is handed out. A
 //! truncated or bit-flipped file fails closed with
 //! [`ArtifactError::Corrupt`] naming the offending byte offset.
 //!
 //! The big tables — SFA class rows, the premultiplied byte table, the
-//! state mappings — are **not copied**: the loader records their byte
-//! ranges and hands the shared buffer to [`LoadedSfa`], so loading from
-//! an mmap touches only the small metadata pages plus one checksum sweep.
+//! state mappings — are **not copied**: they are already in the
+//! [`DSfa`]'s storage layout, so the loader records their byte ranges and
+//! hands the shared buffer to [`DSfa::from_parts`]. Loading from an mmap
+//! touches the metadata pages, one checksum sweep and one validation
+//! sweep.
 
 use crate::format::{
     checksum, repr_from_width, FLAG_COLLAPSED, FLAG_CONVERGENCE, FLAG_PREMULTIPLIED,
@@ -21,12 +23,12 @@ use crate::format::{
 use crate::ArtifactError;
 use sfa_analysis::ConvergenceSummary;
 use sfa_automata::{ByteClasses, Dfa, PatternSet};
-use sfa_core::{ArtifactBytes, LoadedSfa, LoadedSfaParts};
+use sfa_core::{ArtifactBytes, DSfa, DSfaParts};
 use std::ops::Range;
 
 /// A fully parsed and validated artifact: the reconstructed source DFA
-/// (owned — its tables are small), the zero-copy SFA backend, and the
-/// matcher-level metadata the encoder stored.
+/// (owned — its tables are small), the D-SFA reading its tables in place,
+/// and the matcher-level metadata the encoder stored.
 pub struct LoadedArtifact {
     /// The original pattern text.
     pub pattern: String,
@@ -39,8 +41,8 @@ pub struct LoadedArtifact {
     pub nfa_states: u32,
     /// The reconstructed source DFA (validated).
     pub dfa: Dfa,
-    /// The SFA with its tables borrowed from the artifact buffer.
-    pub sfa: LoadedSfa,
+    /// The SFA, its tables read in place from the artifact buffer.
+    pub sfa: DSfa,
     /// Per-DFA-state "verdict decided" bitmap.
     pub decided_verdict: Vec<bool>,
     /// Per-DFA-state "accept-set decided" bitmap.
@@ -87,7 +89,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Like [`take`](Reader::take) but returns the byte *range* instead
-    /// of the bytes — the zero-copy handle for a borrowed table.
+    /// of the bytes — the zero-copy handle for a table read in place.
     fn take_range(&mut self, n: usize) -> Result<Range<usize>, ArtifactError> {
         let start = self.pos;
         self.take(n)?;
@@ -124,7 +126,7 @@ impl<'a> Reader<'a> {
 /// Parses, checksums and validates an artifact held in any shared byte
 /// buffer (an [`ArtifactFile`](crate::ArtifactFile) mmap, a `Vec<u8>`
 /// from a cache, …). The buffer is retained by the returned
-/// [`LoadedArtifact`]'s SFA, which borrows its tables from it.
+/// [`LoadedArtifact`]'s SFA, which reads its tables from it.
 pub fn load(data: ArtifactBytes) -> Result<LoadedArtifact, ArtifactError> {
     let buf: &[u8] = (*data).as_ref();
     let mut r = Reader { buf, pos: 0 };
@@ -297,16 +299,10 @@ pub fn load(data: ArtifactBytes) -> Result<LoadedArtifact, ArtifactError> {
         );
     }
 
-    // The SFA constructor bounds-checks every borrowed table entry.
-    let parts = LoadedSfaParts {
-        data: data.clone(),
-        repr,
-        num_states: num_sfa,
-        table,
-        byte_table,
-        mappings,
-    };
-    let sfa = LoadedSfa::new(parts, &dfa)
+    // The SFA constructor bounds-checks every table entry.
+    let parts =
+        DSfaParts { data: data.clone(), repr, num_states: num_sfa, table, byte_table, mappings };
+    let sfa = DSfa::from_parts(parts, &dfa)
         .map_err(|reason| ArtifactError::Corrupt { offset: sfa_at, reason })?;
 
     Ok(LoadedArtifact {

@@ -57,7 +57,7 @@ impl RegisterSource {
 }
 
 /// A tenant's compiled matcher: either a freshly compiled set (which may
-/// shard internally) or a single automaton borrowed from an artifact.
+/// shard internally) or a single automaton loaded from an artifact.
 pub(crate) enum TenantMatcher {
     /// Fresh compile — the full [`RegexSet`] machinery (auto-sharding,
     /// prefilter) applies.

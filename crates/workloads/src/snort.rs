@@ -348,14 +348,7 @@ mod tests {
         // generator, the seed, the curated prefix or the shape mix moves
         // this fingerprint and must come with a baseline refresh (see
         // BENCH_multimatch.json).
-        fn fnv1a(bytes: &[u8]) -> u64 {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        }
+        use sfa_serialize::fnv1a;
         let corpus = corpus_1k();
         assert_eq!(corpus.len(), CORPUS_1K);
         assert_eq!(&corpus[..CURATED_PATTERNS.len()], CURATED_PATTERNS);

@@ -128,3 +128,117 @@ fn truncated_artifacts_fail_typed() {
         );
     }
 }
+
+/// An artifact held at an odd address: the loaded automaton reads its
+/// tables in place, and nothing in the format promises the buffer's
+/// alignment.
+struct OddBase(Vec<u8>);
+
+impl AsRef<[u8]> for OddBase {
+    fn as_ref(&self) -> &[u8] {
+        &self.0[1..]
+    }
+}
+
+fn load_at_odd_base(artifact: &[u8]) -> Regex {
+    let mut padded = vec![0u8];
+    padded.extend_from_slice(artifact);
+    let data = OddBase(padded);
+    assert_eq!(data.as_ref().as_ptr() as usize % 2, 1, "the tables must start unaligned");
+    Regex::from_artifact(std::sync::Arc::new(data)).unwrap()
+}
+
+/// A regex loaded from an artifact at an odd base address scans with the
+/// compiled regex's kernel and lane count and gives its verdicts under
+/// every strategy, across the shuffle (≤ 16 states), `u8`/`u16` gather
+/// and forced-`u32` shapes.
+#[test]
+fn unaligned_artifact_matches_the_compiled_regex_under_every_strategy() {
+    // The execution strategy, not proptest's generator trait.
+    use sfa::core::StateIdRepr;
+    use sfa::matcher::Strategy;
+    let cases: [(&str, Option<StateIdRepr>); 5] = [
+        ("(ab)*", None),
+        ("([0-4]{2}[5-9]{2})*", None),
+        ("([0-4]{8}[5-9]{8})*", None),
+        ("([0-4]{2}[5-9]{2})*", Some(StateIdRepr::U32)),
+        ("(a|b)*abb", Some(StateIdRepr::U16)),
+    ];
+    let mut rng = StdRng::seed_from_u64(7);
+    let noise: Vec<u8> = (0..70_000).map(|_| *b"0123456789ab".choose(&mut rng).unwrap()).collect();
+    for (pattern, repr) in cases {
+        let mut builder = Regex::builder();
+        if let Some(repr) = repr {
+            builder = builder.state_id_repr(repr);
+        }
+        let re = builder.build(pattern).unwrap();
+        let loaded = load_at_odd_base(&re.to_artifact().unwrap());
+        assert_eq!(loaded.backend_kind(), BackendKind::Eager);
+        assert_eq!(loaded.sfa().repr(), re.sfa().repr(), "{pattern}");
+        assert_eq!(loaded.sfa().scan_kernel(), re.sfa().scan_kernel(), "{pattern}");
+        assert_eq!(loaded.sfa().preferred_lanes(), re.sfa().preferred_lanes(), "{pattern}");
+
+        let inputs: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            b"ab".to_vec(),
+            b"abab".repeat(20_000),
+            b"00550459".repeat(9_000),
+            b"0000055555".repeat(100),
+            b"0000000055555555".repeat(5_000),
+            [b"ab".repeat(10_000), b"abb".to_vec()].concat(),
+            noise.clone(),
+            noise[..5_000].to_vec(),
+        ];
+        for input in &inputs {
+            let want = re.run(input, Strategy::Sequential);
+            assert_eq!(want, re.dfa().run(input));
+            let mut strategies = vec![Strategy::Sequential, Strategy::Auto];
+            for threads in [2, 4] {
+                for reduction in [Reduction::Sequential, Reduction::Tree] {
+                    strategies.push(Strategy::Parallel { threads, reduction });
+                    strategies.push(Strategy::Speculative { threads, reduction });
+                }
+            }
+            for strategy in strategies {
+                assert_eq!(
+                    loaded.run(input, strategy),
+                    want,
+                    "{pattern} ({repr:?}), {} bytes, {strategy:?}",
+                    input.len()
+                );
+                assert_eq!(
+                    loaded.is_match_with(input, strategy),
+                    re.is_match_with(input, strategy)
+                );
+            }
+        }
+    }
+}
+
+/// Re-encoding a loaded regex reproduces the artifact it came from, byte
+/// for byte: the automaton's tables are the artifact's sections, and the
+/// stored metadata and convergence summary travel with it.
+#[test]
+fn loaded_regex_re_encodes_to_identical_bytes() {
+    let builder = eager_contains();
+    let regexes = [
+        Regex::new("(ab)*").unwrap(),
+        builder.clone().build("attack[0-9]{2}").unwrap(),
+        Regex::builder().state_id_repr(sfa::core::StateIdRepr::U32).build("(a|b)*abb").unwrap(),
+        RegexSet::new(["GET /[a-z]+", "POST /login", "GET /[a-z]+"], &builder)
+            .unwrap()
+            .regex()
+            .clone(),
+    ];
+    for re in regexes {
+        let artifact = re.to_artifact().unwrap();
+        let loaded = Regex::from_artifact(std::sync::Arc::new(artifact.clone())).unwrap();
+        assert!(
+            loaded.to_artifact().unwrap() == artifact,
+            "{} re-encodes differently",
+            re.pattern()
+        );
+        // Unaligned, too.
+        assert!(load_at_odd_base(&artifact).to_artifact().unwrap() == artifact);
+    }
+}

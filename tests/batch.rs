@@ -109,10 +109,14 @@ fn batch_apis_agree_with_sequential_on_every_build() {
                 "{label}: sharded = unsharded"
             );
         }
-        // The artifact round trip serves the borrowed backend.
+        // The artifact round trip serves an eager backend over the
+        // artifact's own tables.
         let eager = RegexSet::new(RULES.iter().copied(), &builder(threads)).unwrap();
-        let loaded = Regex::from_artifact(Arc::new(eager.regex().to_artifact().unwrap())).unwrap();
-        assert_eq!(loaded.sfa().kind(), BackendKind::Borrowed);
+        let artifact = eager.regex().to_artifact().unwrap();
+        let artifact_len = artifact.len();
+        let loaded = Regex::from_artifact(Arc::new(artifact)).unwrap();
+        assert_eq!(loaded.sfa().kind(), BackendKind::Eager);
+        assert_eq!(loaded.size_report().artifact_bytes, Some(artifact_len));
         check_regex(&loaded, &hay, &format!("artifact-loaded, {threads} thread(s)"));
     }
 }
